@@ -5,6 +5,13 @@ linearly interpolated in between, so monotonicity, sub/superdiagonality,
 Lipschitz constants and axiom instances at chain points can all be checked
 exactly.  Analytic shapes (Zadeh's square for *very*, a square-root-like
 curve for *slightly*) ship as piecewise-linear presets.
+
+Validation on a chain {0, 1/k, ..., 1} evaluates each declared hedge once
+per chain point (k+1 exact ``eval_hedge`` calls per hedge); every axiom
+instance is then read from these tables.  The monotonicity axiom H6/DH11
+is scanned over all pairs in exact integer arithmetic on a common
+denominator, and the scan is skipped when every adjacent step of the table
+lies in [0, 1/k], which already rules out any violation.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .mv import MVChain, ONE, ZERO, luk_imp, luk_neg
@@ -41,7 +49,7 @@ class HedgeFunction:
     def __call__(self, a: Fraction) -> Fraction:
         return eval_hedge(self, a)
 
-    @property
+    @cached_property
     def xs(self) -> tuple[Fraction, ...]:
         return tuple(x for x, _ in self.breakpoints)
 
@@ -155,9 +163,6 @@ class ValidationReport:
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
-    def merged(self, other: "ValidationReport") -> "ValidationReport":
-        return ValidationReport(self.violations + other.violations)
-
 
 def validate_shape(f: HedgeFunction, kind: str, hedge: str = "f") -> ValidationReport:
     """Check the characteristic shape of a hedge truth function.
@@ -210,6 +215,54 @@ def _axiom_ids(mode: HedgeMode) -> dict[str, str]:
     return {"mono": "DH11", "schain": "DH12", "stop": "DH13", "dchain": "DH14", "dual": "DH15"}
 
 
+def _tabulate(model: HedgeModel, chain: MVChain) -> dict[str, tuple[Fraction, ...]]:
+    """Every declared hedge's values at the chain points, in chain order."""
+    values = chain.values()
+    return {
+        name: tuple(eval_hedge(model.function_for(name), a) for a in values)
+        for name in model.signature.hedges
+    }
+
+
+def _dual(table: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """¬s(¬x) at the chain points, from the table of s.
+
+    ¬x_i = 1 - i/k = (k-i)/k is the chain point x_{k-i}, so s(¬x_i) is the
+    mirrored entry of the table.
+    """
+    return tuple(luk_neg(y) for y in reversed(table))
+
+
+def _monotonicity_violations(
+    check: str, hedge: str, table: tuple[Fraction, ...], chain: MVChain
+) -> list[Violation]:
+    """Instances of (a ⇒ b) ⇒ (f(a) ⇒ f(b)) below 1, in row-major (a, b) order.
+
+    On the common denominator D of the chain and the table, A_i = i·D/k and
+    F_i = D·f(x_i) are integers.  The instance at (x_i, x_j) equals
+    1 - max(0, F_i - F_j - max(0, A_i - A_j))/D.
+    """
+    k = chain.k
+    denom = math.lcm(k, *(y.denominator for y in table))
+    step = denom // k
+    nums = [y.numerator * (denom // y.denominator) for y in table]
+    # Adjacent steps in [0, D/k] telescope: for i <= j, F_i - F_j <= 0, and
+    # for i > j, F_i - F_j <= (i-j)·D/k = A_i - A_j, so no instance is below 1.
+    if all(0 <= hi - lo <= step for lo, hi in zip(nums, nums[1:])):
+        return []
+    values = chain.values()
+    rows = list(zip(values, nums, range(0, denom + 1, step)))
+    vs: list[Violation] = []
+    for a, fa, aa in rows:
+        for b, fb, ab in rows:
+            gap = fa - fb
+            if aa > ab:
+                gap -= aa - ab
+            if gap > 0:
+                vs.append(Violation(check, hedge, (a, b), Fraction(denom - gap, denom)))
+    return vs
+
+
 def validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationReport:
     """Exhaustively instantiate the hedge axioms' truth conditions on a chain.
 
@@ -220,51 +273,43 @@ def validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationReport:
     sig = model.signature
     ids = _axiom_ids(sig.mode)
     values = chain.values()
+    table = _tabulate(model, chain)
     vs: list[Violation] = []
 
     for name in sig.hedges:
-        f = model.function_for(name)
-        for a in values:
-            fa = f(a)
-            for b in values:
-                v = luk_imp(luk_imp(a, b), luk_imp(fa, f(b)))
-                if v != ONE:
-                    vs.append(Violation(ids["mono"], name, (a, b), v))
+        vs.extend(_monotonicity_violations(ids["mono"], name, table[name], chain))
 
     for i, name in enumerate(sig.stressers, start=1):
-        f = model.function_for(name)
-        prev = IDENTITY if i == 1 else model.function_for(sig.stressers[i - 2])
-        for a in values:
-            v = luk_imp(f(a), prev(a))
+        prev = values if i == 1 else table[sig.stressers[i - 2]]
+        for a, fa, pa in zip(values, table[name], prev):
+            v = luk_imp(fa, pa)
             if v != ONE:
                 vs.append(Violation(ids["schain"], name, (a,), v))
 
     if sig.stressers:
         top = sig.stressers[-1]
-        v = model.function_for(top)(ONE)
+        v = table[top][-1]
         if v != ONE:
             vs.append(Violation(ids["stop"], top, (ONE,), v))
 
     for j, name in enumerate(sig.depressers, start=1):
-        f = model.function_for(name)
-        prev = IDENTITY if j == 1 else model.function_for(sig.depressers[j - 2])
-        for a in values:
-            v = luk_imp(prev(a), f(a))
+        prev = values if j == 1 else table[sig.depressers[j - 2]]
+        for a, pa, fa in zip(values, prev, table[name]):
+            v = luk_imp(pa, fa)
             if v != ONE:
                 vs.append(Violation(ids["dchain"], name, (a,), v))
 
     if sig.mode is HedgeMode.H:
         if sig.depressers:
             bottom = sig.depressers[-1]
-            v = luk_neg(model.function_for(bottom)(ZERO))
+            v = luk_neg(table[bottom][0])
             if v != ONE:
                 vs.append(Violation(ids["dbot"], bottom, (ZERO,), v))
     else:
         for i, name in enumerate(sig.depressers, start=1):
-            d = model.function_for(name)
-            s = model.function_for(sig.stressers[i - 1])
-            for a in values:
-                v = luk_imp(d(a), luk_neg(s(luk_neg(a))))
+            upper = _dual(table[sig.stressers[i - 1]])
+            for a, da, ua in zip(values, table[name], upper):
+                v = luk_imp(da, ua)
                 if v != ONE:
                     vs.append(Violation(ids["dual"], name, (a,), v))
 
@@ -295,38 +340,26 @@ def boundaries(model: HedgeModel, chain: MVChain) -> tuple[dict[str, tuple[Bound
     if sig.mode is not HedgeMode.DH:
         raise ValueError("boundary envelopes are defined for dual-hedge signatures only")
     values = chain.values()
+    table = _tabulate(model, chain)
     tables: dict[str, tuple[BoundaryRow, ...]] = {}
     vs: list[Violation] = []
     n = len(sig.stressers)
 
-    def envelope(name: str, lo_at, hi_at) -> None:
-        f = model.function_for(name)
+    def envelope(name: str, lower, upper) -> None:
         rows = []
-        for x in values:
-            lo, hi = lo_at(x), hi_at(x)
+        for x, lo, hi, y in zip(values, lower, upper, table[name]):
             rows.append(BoundaryRow(x, lo, hi))
-            y = f(x)
             if y < lo:
                 vs.append(Violation("envelope-lower", name, (x,), y))
             if y > hi:
                 vs.append(Violation("envelope-upper", name, (x,), y))
         tables[name] = tuple(rows)
 
-    for i in range(1, n + 1):
-        name = sig.stressers[i - 1]
-        if i == n:
-            envelope(name, lambda x: ZERO, lambda x: x)
-        else:
-            stronger = model.function_for(sig.stressers[i])
-            envelope(name, stronger, lambda x: x)
-    for i in range(1, n + 1):
-        name = sig.depressers[i - 1]
-        s_i = model.function_for(sig.stressers[i - 1])
-        upper = lambda x, s=s_i: luk_neg(s(luk_neg(x)))
-        if i == 1:
-            envelope(name, lambda x: x, upper)
-        else:
-            weaker = model.function_for(sig.depressers[i - 2])
-            envelope(name, weaker, upper)
+    for i, name in enumerate(sig.stressers, start=1):
+        lower = (ZERO,) * len(values) if i == n else table[sig.stressers[i]]
+        envelope(name, lower, values)
+    for i, name in enumerate(sig.depressers, start=1):
+        lower = values if i == 1 else table[sig.depressers[i - 2]]
+        envelope(name, lower, _dual(table[sig.stressers[i - 1]]))
 
     return tables, ValidationReport(tuple(vs))

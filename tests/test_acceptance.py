@@ -258,6 +258,38 @@ def test_criterion_07_h6_collapse_to_identity():
     _report(7, "H6 on a chain forces identity there; pl-square witness (1, 9/10) -> 37/40")
 
 
+def test_h6_holds_iff_adjacent_steps_in_range():
+    # Telescoping lemma behind the validator's skip: on the chain the
+    # monotonicity axiom holds iff every adjacent step f(x_{i+1}) - f(x_i)
+    # lies in [0, 1/k].  Criterion 07's family plus functions that move 0 or 1.
+    rng = random.Random(7)
+    family = [IDENTITY, PL_SQUARE, PL_SQRT] + [_random_endpoint_pl(rng) for _ in range(97)]
+    lifted_rng = random.Random(77)
+    for _ in range(40):
+        y0 = F(lifted_rng.randint(0, 10), 20)
+        y1 = F(lifted_rng.randint(10, 20), 20)
+        mid = [(F(i, 10), F(lifted_rng.randint(0, 20), 20)) for i in sorted(lifted_rng.sample(range(1, 10), 2))]
+        family.append(HedgeFunction(((ZERO, y0), *mid, (ONE, y1))))
+    family.append(HedgeFunction(((ZERO, F(1, 5)), (ONE, ONE))))
+    sigs = [
+        (HedgeSignature(HedgeMode.H, ("s1",), ()), "H6"),
+        (HedgeSignature(HedgeMode.DH, ("s1",), ("d1",)), "DH11"),
+    ]
+    passing = 0
+    for k in (7, 10, 50):
+        chain = MVChain(k)
+        for f in family:
+            ys = [f(x) for x in chain]
+            steps_ok = all(ZERO <= b - a <= F(1, k) for a, b in zip(ys, ys[1:]))
+            passing += steps_ok
+            for sig, check in sigs:
+                report = validate_axioms(HedgeModel(sig, {name: f for name in sig.hedges}), chain)
+                mono_ok = not any(v.check == check and v.hedge == "s1" for v in report.violations)
+                assert mono_ok == steps_ok, (f.breakpoints, k, check)
+    # identity and the lifted line 1/5 + 4x/5 pass on every chain
+    assert passing >= 6
+
+
 def test_criterion_08_boundary_envelopes():
     sig2 = HedgeSignature(HedgeMode.DH, ("s1", "s2"), ("d1", "d2"))
     identity_model = HedgeModel.identity_model(sig2)

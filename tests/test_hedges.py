@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from fln.hedges import (
+    BoundaryRow,
     HedgeFunction,
     HedgeModel,
     IDENTITY,
     PL_SQRT,
     PL_SQUARE,
+    ValidationReport,
+    Violation,
     blend,
     boundaries,
     eval_hedge,
@@ -16,7 +19,7 @@ from fln.hedges import (
     validate_axioms,
     validate_shape,
 )
-from fln.mv import MVChain, ONE, ZERO, biresiduum, luk_neg, power
+from fln.mv import MVChain, ONE, ZERO, biresiduum, luk_imp, luk_neg, power
 from fln.syntax import HedgeMode, HedgeSignature
 
 F = Fraction
@@ -284,3 +287,192 @@ def test_machine_violation_line():
     report = validate_axioms(model, MVChain(10))
     lines = [v.machine_line() for v in report.violations]
     assert "VIOLATION H6 s1 (1, 9/10) 37/40" in lines
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the pointwise Fraction pair loop the tabulated kernel replaced
+
+
+def _reference_axiom_ids(mode: HedgeMode) -> dict[str, str]:
+    if mode is HedgeMode.H:
+        return {"mono": "H6", "schain": "H7", "stop": "H8", "dchain": "H9", "dbot": "H10"}
+    return {"mono": "DH11", "schain": "DH12", "stop": "DH13", "dchain": "DH14", "dual": "DH15"}
+
+
+def reference_validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationReport:
+    sig = model.signature
+    ids = _reference_axiom_ids(sig.mode)
+    values = chain.values()
+    vs: list[Violation] = []
+
+    for name in sig.hedges:
+        f = model.function_for(name)
+        for a in values:
+            fa = f(a)
+            for b in values:
+                v = luk_imp(luk_imp(a, b), luk_imp(fa, f(b)))
+                if v != ONE:
+                    vs.append(Violation(ids["mono"], name, (a, b), v))
+
+    for i, name in enumerate(sig.stressers, start=1):
+        f = model.function_for(name)
+        prev = IDENTITY if i == 1 else model.function_for(sig.stressers[i - 2])
+        for a in values:
+            v = luk_imp(f(a), prev(a))
+            if v != ONE:
+                vs.append(Violation(ids["schain"], name, (a,), v))
+
+    if sig.stressers:
+        top = sig.stressers[-1]
+        v = model.function_for(top)(ONE)
+        if v != ONE:
+            vs.append(Violation(ids["stop"], top, (ONE,), v))
+
+    for j, name in enumerate(sig.depressers, start=1):
+        f = model.function_for(name)
+        prev = IDENTITY if j == 1 else model.function_for(sig.depressers[j - 2])
+        for a in values:
+            v = luk_imp(prev(a), f(a))
+            if v != ONE:
+                vs.append(Violation(ids["dchain"], name, (a,), v))
+
+    if sig.mode is HedgeMode.H:
+        if sig.depressers:
+            bottom = sig.depressers[-1]
+            v = luk_neg(model.function_for(bottom)(ZERO))
+            if v != ONE:
+                vs.append(Violation(ids["dbot"], bottom, (ZERO,), v))
+    else:
+        for i, name in enumerate(sig.depressers, start=1):
+            d = model.function_for(name)
+            s = model.function_for(sig.stressers[i - 1])
+            for a in values:
+                v = luk_imp(d(a), luk_neg(s(luk_neg(a))))
+                if v != ONE:
+                    vs.append(Violation(ids["dual"], name, (a,), v))
+
+    return ValidationReport(tuple(vs))
+
+
+def reference_boundaries(model: HedgeModel, chain: MVChain):
+    sig = model.signature
+    values = chain.values()
+    tables = {}
+    vs = []
+    n = len(sig.stressers)
+
+    def envelope(name, lo_at, hi_at):
+        f = model.function_for(name)
+        rows = []
+        for x in values:
+            lo, hi = lo_at(x), hi_at(x)
+            rows.append(BoundaryRow(x, lo, hi))
+            y = eval_hedge(f, x)
+            if y < lo:
+                vs.append(Violation("envelope-lower", name, (x,), y))
+            if y > hi:
+                vs.append(Violation("envelope-upper", name, (x,), y))
+        tables[name] = tuple(rows)
+
+    for i in range(1, n + 1):
+        name = sig.stressers[i - 1]
+        if i == n:
+            envelope(name, lambda x: ZERO, lambda x: x)
+        else:
+            stronger = model.function_for(sig.stressers[i])
+            envelope(name, stronger, lambda x: x)
+    for i in range(1, n + 1):
+        name = sig.depressers[i - 1]
+        s_i = model.function_for(sig.stressers[i - 1])
+        upper = lambda x, s=s_i: luk_neg(s(luk_neg(x)))
+        if i == 1:
+            envelope(name, lambda x: x, upper)
+        else:
+            weaker = model.function_for(sig.depressers[i - 2])
+            envelope(name, weaker, upper)
+
+    return tables, ValidationReport(tuple(vs))
+
+
+def random_lifted_pl(rng: random.Random) -> HedgeFunction:
+    """Random breakpoints with mixed denominators; endpoints may leave 0 and 1."""
+    q = rng.choice((5, 7, 12, 16))
+    xs = sorted(rng.sample([F(i, 12) for i in range(1, 12)], rng.randint(0, 3)))
+    y0 = ZERO if rng.random() < 0.6 else F(rng.randint(1, q - 1), q)
+    y1 = ONE if rng.random() < 0.6 else F(rng.randint(1, q - 1), q)
+    bps = [(ZERO, y0)] + [(x, F(rng.randint(0, q), q)) for x in xs] + [(ONE, y1)]
+    return HedgeFunction(tuple(bps))
+
+
+def random_model(rng: random.Random) -> HedgeModel:
+    shapes = [IDENTITY, PL_SQUARE, PL_SQRT, blend(PL_SQUARE, F(1, 3)), blend(PL_SQRT, F(2, 5))]
+    if rng.random() < 0.5:
+        n_s = rng.randint(0, 3)
+        sig = HedgeSignature(HedgeMode.H, tuple(f"s{i}" for i in range(1, n_s + 1)),
+                             tuple(f"d{i}" for i in range(1, rng.randint(0, 3 - n_s) + 1)))
+    else:
+        n = rng.randint(0, 1)
+        sig = HedgeSignature(HedgeMode.DH, ("s1",) * n, ("d1",) * n)
+    return HedgeModel(sig, {
+        name: rng.choice(shapes) if rng.random() < 0.3 else random_lifted_pl(rng) for name in sig.hedges
+    })
+
+
+ORACLE_CHAINS = (1, 2, 3, 7, 10, 20, 33)
+
+
+def test_validate_axioms_matches_pointwise_reference():
+    rng = random.Random(2016)
+    for _ in range(40):
+        model = random_model(rng)
+        for k in ORACLE_CHAINS:
+            chain = MVChain(k)
+            got = [v.machine_line() for v in validate_axioms(model, chain).violations]
+            want = [v.machine_line() for v in reference_validate_axioms(model, chain).violations]
+            assert got == want, (model, k)
+
+
+def test_boundaries_match_pointwise_reference():
+    rng = random.Random(8033)
+    models = [m for m in (random_model(rng) for _ in range(80)) if m.signature.mode is HedgeMode.DH]
+    models.append(HedgeModel(SIG_DH2, {"s1": PL_SQRT, "s2": PL_SQUARE, "d1": PL_SQUARE, "d2": random_lifted_pl(rng)}))
+    for model in models:
+        for k in ORACLE_CHAINS:
+            chain = MVChain(k)
+            tables, report = boundaries(model, chain)
+            want_tables, want_report = reference_boundaries(model, chain)
+            assert tables == want_tables
+            assert list(tables) == list(want_tables)
+            assert [v.machine_line() for v in report.violations] == [
+                v.machine_line() for v in want_report.violations
+            ]
+
+
+def test_validate_axioms_tabulates_each_hedge_once(monkeypatch):
+    # A call-count guard, not a timing test: the kernel reads k+1 values per
+    # hedge and never evaluates a hedge per pair of chain points.
+    import fln.hedges
+
+    calls = 0
+    original = fln.hedges.eval_hedge
+
+    def counted(f, a):
+        nonlocal calls
+        calls += 1
+        return original(f, a)
+
+    monkeypatch.setattr(fln.hedges, "eval_hedge", counted)
+    sig = HedgeSignature(HedgeMode.DH, ("s1",), ("d1",))
+    model = HedgeModel(sig, {"s1": PL_SQUARE, "d1": PL_SQRT})
+    k = 200
+    report = validate_axioms(model, MVChain(k))
+    assert not report.passed
+    assert calls <= (k + 1) * len(sig.hedges) + 2
+
+
+def test_xs_is_cached_and_outside_equality():
+    f = HedgeFunction(PL_SQUARE.breakpoints)
+    assert f.xs is f.xs
+    assert f.xs == tuple(x for x, _ in PL_SQUARE.breakpoints)
+    assert f == PL_SQUARE and hash(f) == hash(PL_SQUARE)
+    assert f != PL_SQRT
