@@ -338,6 +338,9 @@ def main(argv: "list[str] | None" = None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

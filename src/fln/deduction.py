@@ -1,6 +1,12 @@
 """Graded proof calculus: logical-axiom matching, the three inference rules,
 proof objects and checking, and forward-chaining saturation.
 
+Logical-axiom schemas are templates, core formulas with placeholders, and
+one unifier matches them all, so matching and instantiation agree by
+construction.  Only B1 (the constant equation), T1 (substitutability), T2
+(x not free in A) and H6/DH11 (a declared hedge) carry a side condition;
+the hedge-chain schemas get one template per declared hedge index.
+
 Provability degrees are suprema over infinitely many proofs and are not
 computable in general.  Saturation therefore works inside a finite formula
 universe and yields certified lower bounds; when it reaches a fixpoint the
@@ -9,20 +15,23 @@ bound is exact for the universe-restricted calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
 from .mv import ONE, ZERO, as_truth, luk_and, luk_imp
 from .syntax import (
     FALSUM,
+    VERUM,
     Forall,
     Formula,
     HedgeApp,
     HedgeMode,
     HedgeSignature,
+    Iff,
     Imp,
     Pred,
-    Term,
     TruthConst,
     Var,
     Apply,
@@ -53,232 +62,135 @@ class EvaluatedFormula:
 class LogicalAxiomMatch:
     schema: str
     bindings: dict[str, object]
+    template: Formula
 
 
 # ---------------------------------------------------------------------------
-# Logical axiom schemas.  Matching happens on expanded formulas, where
-# ~X is Imp(X, #0).
+# Logical axiom schemas, matched on expanded formulas (where ~X is Imp(X, #0)).
 
 
-def _match_r1(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(a, Imp(b, a2)) if a == a2:
-            return {"A": a, "B": b}
-    return None
+@dataclass(frozen=True)
+class Meta:
+    """Template placeholder; every occurrence of one name binds one value."""
+
+    name: str
 
 
-def _match_r2(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(Imp(a, b), Imp(Imp(b2, c), Imp(a2, c2))) if a == a2 and b == b2 and c == c2:
-            return {"A": a, "B": b, "C": c}
-    return None
+_FIELDS = {c: tuple(f.name for f in fields(c)) for c in (TruthConst, Pred, Imp, Forall, HedgeApp, Apply)}
 
 
-def _match_r3(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(Imp(Imp(b, TruthConst(z1)), Imp(a, TruthConst(z2))), Imp(a2, b2)) \
-                if z1 == ZERO and z2 == ZERO and a == a2 and b == b2:
-            return {"A": a, "B": b}
-    return None
+def _unify(t: object, f: object, b: dict[str, object]) -> bool:
+    """Extend ``b`` so that the template ``t`` filled from ``b`` equals ``f``."""
+    cls = t.__class__
+    if cls is Imp:
+        return f.__class__ is Imp and _unify(t.left, f.left, b) and _unify(t.right, f.right, b)
+    if cls is Meta:
+        if t.name in b:
+            return b[t.name] == f
+        b[t.name] = f
+        return True
+    if cls is tuple:
+        if f.__class__ is not tuple or len(t) != len(f):
+            return False
+        for ti, fi in zip(t, f):
+            if not _unify(ti, fi, b):
+                return False
+        return True
+    names = _FIELDS.get(cls)
+    if names is None:
+        return t == f
+    if f.__class__ is not cls:
+        return False
+    for n in names:
+        if not _unify(getattr(t, n), getattr(f, n), b):
+            return False
+    return True
 
 
-def _match_r4(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(Imp(Imp(a, b), b2), Imp(Imp(b3, a2), a3)) \
-                if b == b2 == b3 and a == a2 == a3:
-            return {"A": a, "B": b}
-    return None
+def _fill(t: object, b: dict[str, object]) -> object:
+    cls = t.__class__
+    if cls is Meta:
+        return b[t.name]
+    names = _FIELDS.get(cls)
+    if names is None:
+        return t
+    return cls(*(_fill(getattr(t, n), b) for n in names))
 
 
-def split_expanded_iff(f: Formula) -> tuple[Formula, Formula] | None:
-    """Recover (L, R) when ``f`` is the expansion of ``L <-> R``."""
-    match f:
-        case Imp(
-            Imp(Imp(Imp(r1, l1), Imp(l2, r2)), Imp(Imp(r3, l3), TruthConst(z1))),
-            TruthConst(z2),
-        ) if z1 == ZERO and z2 == ZERO and l1 == l2 == l3 and r1 == r2 == r3:
-            return l1, r1
-    return None
-
-
-def _match_b1(f: Formula, sig: HedgeSignature):
-    lr = split_expanded_iff(f)
-    if lr is None:
-        return None
-    left, right = lr
-    match left, right:
-        case (Imp(TruthConst(a), TruthConst(b)), TruthConst(c)) if c == luk_imp(a, b):
-            return {"a": a, "b": b}
-    return None
-
-
-def _infer_substituted_term(body: Formula, x: str, rhs: Formula) -> Term | None:
-    """Find the term t with ``substitute(body, x, t) == rhs`` by parallel walk."""
-    found: list[Term] = []
-
-    def walk_t(bt: Term, rt: Term) -> bool:
-        if isinstance(bt, Var) and bt.name == x:
-            found.append(rt)
-            return True
-        if isinstance(bt, Apply) and isinstance(rt, Apply):
-            return (
-                bt.func == rt.func
-                and len(bt.args) == len(rt.args)
-                and all(walk_t(p, q) for p, q in zip(bt.args, rt.args))
-            )
-        return bt == rt
-
-    def walk_f(bf: Formula, rf: Formula, shadowed: bool) -> bool:
-        if shadowed:
-            return bf == rf
-        match bf, rf:
-            case (TruthConst(), TruthConst()):
-                return bf == rf
-            case (Pred(n1, a1), Pred(n2, a2)):
-                return n1 == n2 and len(a1) == len(a2) and all(walk_t(p, q) for p, q in zip(a1, a2))
-            case (Imp(l1, r1), Imp(l2, r2)):
-                return walk_f(l1, l2, False) and walk_f(r1, r2, False)
-            case (Forall(y1, b1), Forall(y2, b2)):
-                return y1 == y2 and walk_f(b1, b2, y1 == x)
-            case (HedgeApp(h1, b1), HedgeApp(h2, b2)):
-                return h1 == h2 and walk_f(b1, b2, False)
+def _t1_proviso(b: dict[str, object]) -> bool:
+    """Bind t so that A[t/x] is the right-hand side, without capture."""
+    body, x, rhs = b["A"], b["x"], b["A[t/x]"]
+    if not _unify(substitute(body, x, Meta("t")), rhs, b):
+        return False
+    try:
+        return substitute(body, x, b.setdefault("t", Var(x))) == rhs
+    except NotSubstitutableError:
         return False
 
-    if not walk_f(body, rhs, False):
-        return None
-    if not found:
-        return Var(x)
-    first = found[0]
-    if any(t != first for t in found[1:]):
-        return None
-    return first
 
-
-def _match_t1(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(Forall(x, body), rhs):
-            t = _infer_substituted_term(body, x, rhs)
-            if t is None:
-                return None
-            try:
-                if substitute(body, x, t) == rhs:
-                    return {"x": x, "A": body, "t": t}
-            except NotSubstitutableError:
-                return None
-    return None
-
-
-def _match_t2(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(Forall(x, Imp(a, b)), Imp(a2, Forall(x2, b2))) \
-                if x == x2 and a == a2 and b == b2 and x not in free_vars(a):
-            return {"x": x, "A": a, "B": b}
-    return None
-
-
-def _match_hedge_mono(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(Imp(a, b), Imp(HedgeApp(h1, a2), HedgeApp(h2, b2))) \
-                if h1 == h2 and a == a2 and b == b2 and sig.is_hedge(h1):
-            return {"h": h1, "A": a, "B": b}
-    return None
-
-
-def _match_stresser_chain(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(HedgeApp(h, a), rhs) if h in sig.stressers:
-            i = sig.stresser_index(h)
-            if i == 1:
-                if rhs == a:
-                    return {"i": 1, "A": a}
-            else:
-                match rhs:
-                    case HedgeApp(h2, a2) if h2 == sig.stressers[i - 2] and a2 == a:
-                        return {"i": i, "A": a}
-    return None
-
-
-def _match_stresser_top(f: Formula, sig: HedgeSignature):
-    match f:
-        case HedgeApp(h, TruthConst(v)) if v == ONE and sig.stressers and h == sig.stressers[-1]:
-            return {}
-    return None
-
-
-def _match_depresser_chain(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(lhs, HedgeApp(h, a)) if h in sig.depressers:
-            j = sig.depresser_index(h)
-            if j == 1:
-                if lhs == a:
-                    return {"j": 1, "A": a}
-            else:
-                match lhs:
-                    case HedgeApp(h2, a2) if h2 == sig.depressers[j - 2] and a2 == a:
-                        return {"j": j, "A": a}
-    return None
-
-
-def _match_depresser_bottom(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(HedgeApp(h, TruthConst(z1)), TruthConst(z2)) \
-                if z1 == ZERO and z2 == ZERO and sig.depressers and h == sig.depressers[-1]:
-            return {}
-    return None
-
-
-def _match_duality(f: Formula, sig: HedgeSignature):
-    match f:
-        case Imp(HedgeApp(d, a), Imp(HedgeApp(s, Imp(a2, TruthConst(z1))), TruthConst(z2))) \
-                if z1 == ZERO and z2 == ZERO and a == a2 and d in sig.depressers:
-            i = sig.depresser_index(d)
-            if i <= len(sig.stressers) and s == sig.stressers[i - 1]:
-                return {"i": i, "A": a}
-    return None
-
-
-_BASE_SCHEMAS = (
-    ("R1", _match_r1),
-    ("R2", _match_r2),
-    ("R3", _match_r3),
-    ("R4", _match_r4),
-    ("B1", _match_b1),
-    ("T1", _match_t1),
-    ("T2", _match_t2),
+_X, _A, _B, _C = Meta("x"), Meta("A"), Meta("B"), Meta("C")
+_BASE_TEMPLATES = (
+    ("R1", Imp(_A, Imp(_B, _A)), None),
+    ("R2", Imp(Imp(_A, _B), Imp(Imp(_B, _C), Imp(_A, _C))), None),
+    ("R3", Imp(Imp(expanded_not(_B), expanded_not(_A)), Imp(_A, _B)), None),
+    ("R4", Imp(Imp(Imp(_A, _B), _B), Imp(Imp(_B, _A), _A)), None),
+    (
+        "B1",
+        expand(Iff(Imp(TruthConst(Meta("a")), TruthConst(Meta("b"))), TruthConst(Meta("c")))),
+        lambda b: b["c"] == luk_imp(b["a"], b["b"]),
+    ),
+    ("T1", Imp(Forall(_X, _A), Meta("A[t/x]")), _t1_proviso),
+    (
+        "T2",
+        Imp(Forall(_X, Imp(_A, _B)), Imp(_A, Forall(_X, _B))),
+        lambda b: b["x"] not in free_vars(b["A"]),
+    ),
 )
-_H_SCHEMAS = (
-    ("H6", _match_hedge_mono),
-    ("H7", _match_stresser_chain),
-    ("H8", _match_stresser_top),
-    ("H9", _match_depresser_chain),
-    ("H10", _match_depresser_bottom),
-)
-_DH_SCHEMAS = (
-    ("DH11", _match_hedge_mono),
-    ("DH12", _match_stresser_chain),
-    ("DH13", _match_stresser_top),
-    ("DH14", _match_depresser_chain),
-    ("DH15", _match_duality),
-)
+_CONST_TEMPLATE = ("CONST", TruthConst(Meta("a")), None)
+_HEDGE_SCHEMA_NAMES = {
+    HedgeMode.H: ("H6", "H7", "H8", "H9", "H10"),
+    HedgeMode.DH: ("DH11", "DH12", "DH13", "DH14", "DH15"),
+}
+_BASE_NAMES = tuple(name for name, _, _ in _BASE_TEMPLATES + (_CONST_TEMPLATE,))
 
 
-def schema_table(sig: HedgeSignature) -> tuple[tuple[str, object], ...]:
-    extra = _H_SCHEMAS if sig.mode is HedgeMode.H else _DH_SCHEMAS
-    return _BASE_SCHEMAS + extra
+@lru_cache(maxsize=32)
+def schema_table(sig: HedgeSignature) -> tuple[tuple[str, Formula, object], ...]:
+    """(name, template, side condition or None) for ``sig``, in matching order.
+
+    Hedge schemas get one template per declared index, with s_0 A = A and
+    d_0 A = A: s_i A -> s_{i-1} A, s_top #1, d_{i-1} A -> d_i A, then
+    ~(d_top #0) in mode H or d_i A -> ~(s_i ~A) in mode DH.
+    """
+    mono, s_chain, s_top, d_chain, last = _HEDGE_SCHEMA_NAMES[sig.mode]
+    s, d, h = sig.stressers, sig.depressers, Meta("h")
+    s_at = (_A,) + tuple(HedgeApp(name, _A) for name in s)  # s_at[i] is s_i A
+    d_at = (_A,) + tuple(HedgeApp(name, _A) for name in d)
+    out = [(mono, Imp(Imp(_A, _B), Imp(HedgeApp(h, _A), HedgeApp(h, _B))), lambda b: sig.is_hedge(b["h"]))]
+    out += [(s_chain, Imp(s_at[i], s_at[i - 1]), None) for i in range(1, len(s_at))]
+    out += [(s_top, HedgeApp(s[-1], VERUM), None)] if s else []
+    out += [(d_chain, Imp(d_at[i - 1], d_at[i]), None) for i in range(1, len(d_at))]
+    if sig.mode is HedgeMode.H:
+        out += [(last, expanded_not(HedgeApp(d[-1], FALSUM)), None)] if d else []
+    else:
+        for dn, sn in zip(d, s):
+            out.append((last, Imp(HedgeApp(dn, _A), expanded_not(HedgeApp(sn, expanded_not(_A)))), None))
+    return _BASE_TEMPLATES + tuple(out) + (_CONST_TEMPLATE,)
+
+
+def _first_match(f: Formula, entries: Iterable[tuple]) -> LogicalAxiomMatch | None:
+    for name, template, cond in entries:
+        b: dict[str, object] = {}
+        if _unify(template, f, b) and (cond is None or cond(b)):
+            return LogicalAxiomMatch(name, b, template)
+    return None
 
 
 def match_schema(schema: str, f: Formula, sig: HedgeSignature) -> LogicalAxiomMatch | None:
     f = expand(f)
-    if schema == "CONST":
-        match f:
-            case TruthConst(a):
-                return LogicalAxiomMatch("CONST", {"a": a})
-        return None
-    for name, matcher in schema_table(sig):
-        if name == schema:
-            bindings = matcher(f, sig)
-            return LogicalAxiomMatch(name, bindings) if bindings is not None else None
-    raise ValueError(f"unknown axiom schema '{schema}'")
+    if schema not in _BASE_NAMES + _HEDGE_SCHEMA_NAMES[sig.mode]:
+        raise ValueError(f"unknown axiom schema '{schema}'")
+    return _first_match(f, (e for e in schema_table(sig) if e[0] == schema))
 
 
 def lax_grade(f: Formula, sig: HedgeSignature) -> tuple[Fraction, LogicalAxiomMatch | None]:
@@ -287,67 +199,15 @@ def lax_grade(f: Formula, sig: HedgeSignature) -> tuple[Fraction, LogicalAxiomMa
     Grade 1 with a match for instances of the enabled schemas, grade a for
     the truth constant #a, grade 0 otherwise.
     """
-    f = expand(f)
-    for name, matcher in schema_table(sig):
-        bindings = matcher(f, sig)
-        if bindings is not None:
-            return ONE, LogicalAxiomMatch(name, bindings)
-    match f:
-        case TruthConst(a):
-            return a, LogicalAxiomMatch("CONST", {"a": a})
-    return ZERO, None
+    m = _first_match(expand(f), schema_table(sig))
+    if m is None:
+        return ZERO, None
+    return (m.bindings["a"] if m.schema == "CONST" else ONE), m
 
 
 def instantiate_match(m: LogicalAxiomMatch, sig: HedgeSignature) -> Formula:
-    """Rebuild the formula matched by ``m``; inverse of schema matching."""
-    b = m.bindings
-    s = m.schema
-    if s == "R1":
-        return Imp(b["A"], Imp(b["B"], b["A"]))
-    if s == "R2":
-        A, B, C = b["A"], b["B"], b["C"]
-        return Imp(Imp(A, B), Imp(Imp(B, C), Imp(A, C)))
-    if s == "R3":
-        A, B = b["A"], b["B"]
-        return Imp(Imp(expanded_not(B), expanded_not(A)), Imp(A, B))
-    if s == "R4":
-        A, B = b["A"], b["B"]
-        return Imp(Imp(Imp(A, B), B), Imp(Imp(B, A), A))
-    if s == "B1":
-        from .syntax import Iff  # sugar used only to rebuild the template
-
-        a, bb = b["a"], b["b"]
-        return expand(Iff(Imp(TruthConst(a), TruthConst(bb)), TruthConst(luk_imp(a, bb))))
-    if s == "T1":
-        return Imp(Forall(b["x"], b["A"]), substitute(b["A"], b["x"], b["t"]))
-    if s == "T2":
-        x, A, B = b["x"], b["A"], b["B"]
-        return Imp(Forall(x, Imp(A, B)), Imp(A, Forall(x, B)))
-    if s in ("H6", "DH11"):
-        h, A, B = b["h"], b["A"], b["B"]
-        return Imp(Imp(A, B), Imp(HedgeApp(h, A), HedgeApp(h, B)))
-    if s in ("H7", "DH12"):
-        i, A = b["i"], b["A"]
-        upper = HedgeApp(sig.stressers[i - 1], A)
-        lower = A if i == 1 else HedgeApp(sig.stressers[i - 2], A)
-        return Imp(upper, lower)
-    if s in ("H8", "DH13"):
-        return HedgeApp(sig.stressers[-1], TruthConst(ONE))
-    if s in ("H9", "DH14"):
-        j, A = b["j"], b["A"]
-        weaker = A if j == 1 else HedgeApp(sig.depressers[j - 2], A)
-        return Imp(weaker, HedgeApp(sig.depressers[j - 1], A))
-    if s == "H10":
-        return expanded_not(HedgeApp(sig.depressers[-1], FALSUM))
-    if s == "DH15":
-        i, A = b["i"], b["A"]
-        return Imp(
-            HedgeApp(sig.depressers[i - 1], A),
-            expanded_not(HedgeApp(sig.stressers[i - 1], expanded_not(A))),
-        )
-    if s == "CONST":
-        return TruthConst(b["a"])
-    raise ValueError(f"unknown axiom schema '{s}'")
+    """Rebuild the formula matched by ``m`` from its template; ``sig`` is unused."""
+    return _fill(m.template, m.bindings)
 
 
 # ---------------------------------------------------------------------------

@@ -203,8 +203,6 @@ class _FormulaParser:
             if not self.is_punct("."):
                 self.fail("expected '.' after the quantified variable")
             self.advance()
-            if self.symbols.variables is not None:
-                self.symbols.variables.add(v.text)
             body = self.formula()
             return Forall(v.text, body) if t.text == "forall" else Exists(v.text, body)
         left = self.equiv()
@@ -334,8 +332,6 @@ class _FormulaParser:
                 except ValueError as exc:
                     self.fail(str(exc), t)
                 return Apply(t.text, args)
-            if self.symbols.variables is not None:
-                self.symbols.variables.add(t.text)
             return Var(t.text)
         if t.kind == "eof":
             self.fail("expected a term", t)

@@ -78,22 +78,12 @@ class Const:
 
 
 @dataclass(frozen=True)
-class DomainElem:
-    """Internal name for a domain element.
-
-    Only the finite-model machinery creates these; user syntax never does.
-    """
-
-    name: str
-
-
-@dataclass(frozen=True)
 class Apply:
     func: str
     args: tuple["Term", ...]
 
 
-Term = Var | Const | DomainElem | Apply
+Term = Var | Const | Apply
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +214,6 @@ def format_term(t: Term) -> str:
         return t.name
     if isinstance(t, Const):
         return "'" + t.name
-    if isinstance(t, DomainElem):
-        return "`" + t.name
     return t.func + "(" + ",".join(format_term(a) for a in t.args) + ")"
 
 
@@ -554,17 +542,16 @@ def subformula_universe(
 
 @dataclass
 class Symbols:
-    """Predicate/function arities, object constants and variables in use."""
+    """Predicate/function arities and object constants in use."""
 
     preds: dict[str, int]
     funcs: dict[str, int]
     consts: set[str]
     has_quantifier: bool = False
-    variables: set[str] | None = None
 
     @staticmethod
     def empty() -> "Symbols":
-        return Symbols({}, {}, set(), False, set())
+        return Symbols({}, {}, set(), False)
 
     def merge_pred(self, name: str, arity: int) -> None:
         known = self.preds.setdefault(name, arity)
@@ -581,10 +568,7 @@ def collect_symbols(formulas: "list[Formula] | tuple[Formula, ...]") -> Symbols:
     syms = Symbols.empty()
 
     def walk_term(t: Term) -> None:
-        if isinstance(t, Var):
-            assert syms.variables is not None
-            syms.variables.add(t.name)
-        elif isinstance(t, Const):
+        if isinstance(t, Const):
             syms.consts.add(t.name)
         elif isinstance(t, Apply):
             syms.merge_func(t.func, len(t.args))

@@ -212,6 +212,26 @@ def test_consistency_modus_ponens_witness(tmp_path):
     assert out.splitlines()[0] == "CONTRADICTORY Q deg 9/10"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prove", "--goal", "P^400"),
+        ("parse", "(" * 200 + "P" + ")" * 200),
+        ("parse", "~" * 3000 + "P"),
+    ],
+    ids=["power-400", "parens-200", "negations-3000"],
+)
+def test_deeply_nested_input_exits_two(tmp_path, capsys, argv):
+    theory = tmp_path / "t.fln"
+    theory.write_text("")
+    if argv[0] == "prove":
+        argv = argv[:1] + ("--theory", str(theory)) + argv[1:]
+    code, out = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: input nested too deeply\n"
+
+
 def test_space_guard_exit_four(tmp_path, capsys):
     theory = tmp_path / "t.fln"
     theory.write_text("")

@@ -1,4 +1,7 @@
+from __future__ import annotations
+
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -21,24 +24,36 @@ from fln.deduction import (
     extract_proof,
     instantiate_match,
     lax_grade,
+    match_schema,
     provability_lower_bound,
     saturate,
 )
 from fln.mv import MVChain, ONE, ZERO, chain_values, luk_and, luk_imp
 from fln.parser import parse_formula, parse_theory
 from fln.syntax import (
+    FALSUM,
+    Apply,
+    Const,
     Forall,
+    Formula,
+    HedgeApp,
     HedgeMode,
     HedgeSignature,
+    Iff,
     Imp,
+    NotSubstitutableError,
     Pred,
+    Term,
     TruthConst,
     Var,
     expand,
     expanded_not,
+    free_vars,
     subformula_universe,
+    substitute,
 )
 from fln.theory import Theory
+from genformulas import random_formula
 
 F = Fraction
 EMPTY = HedgeSignature.empty()
@@ -431,3 +446,394 @@ def test_contradiction_via_modus_ponens():
     assert res.witness.degree == F(9, 10)
     assert check_proof(res.witness.proof_pos, theory) == ONE
     assert check_proof(res.witness.proof_neg, theory) == F(9, 10)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the hand-written matchers and the instantiation if-chain
+# that the schema templates replaced, kept verbatim except that the public
+# names are renamed ReferenceMatch and reference_*.
+
+
+@dataclass(frozen=True)
+class ReferenceMatch:
+    schema: str
+    bindings: dict[str, object]
+
+
+def _match_r1(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(a, Imp(b, a2)) if a == a2:
+            return {"A": a, "B": b}
+    return None
+
+
+def _match_r2(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(Imp(a, b), Imp(Imp(b2, c), Imp(a2, c2))) if a == a2 and b == b2 and c == c2:
+            return {"A": a, "B": b, "C": c}
+    return None
+
+
+def _match_r3(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(Imp(Imp(b, TruthConst(z1)), Imp(a, TruthConst(z2))), Imp(a2, b2)) \
+                if z1 == ZERO and z2 == ZERO and a == a2 and b == b2:
+            return {"A": a, "B": b}
+    return None
+
+
+def _match_r4(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(Imp(Imp(a, b), b2), Imp(Imp(b3, a2), a3)) \
+                if b == b2 == b3 and a == a2 == a3:
+            return {"A": a, "B": b}
+    return None
+
+
+def split_expanded_iff(f: Formula) -> tuple[Formula, Formula] | None:
+    """Recover (L, R) when ``f`` is the expansion of ``L <-> R``."""
+    match f:
+        case Imp(
+            Imp(Imp(Imp(r1, l1), Imp(l2, r2)), Imp(Imp(r3, l3), TruthConst(z1))),
+            TruthConst(z2),
+        ) if z1 == ZERO and z2 == ZERO and l1 == l2 == l3 and r1 == r2 == r3:
+            return l1, r1
+    return None
+
+
+def _match_b1(f: Formula, sig: HedgeSignature):
+    lr = split_expanded_iff(f)
+    if lr is None:
+        return None
+    left, right = lr
+    match left, right:
+        case (Imp(TruthConst(a), TruthConst(b)), TruthConst(c)) if c == luk_imp(a, b):
+            return {"a": a, "b": b}
+    return None
+
+
+def _infer_substituted_term(body: Formula, x: str, rhs: Formula) -> Term | None:
+    """Find the term t with ``substitute(body, x, t) == rhs`` by parallel walk."""
+    found: list[Term] = []
+
+    def walk_t(bt: Term, rt: Term) -> bool:
+        if isinstance(bt, Var) and bt.name == x:
+            found.append(rt)
+            return True
+        if isinstance(bt, Apply) and isinstance(rt, Apply):
+            return (
+                bt.func == rt.func
+                and len(bt.args) == len(rt.args)
+                and all(walk_t(p, q) for p, q in zip(bt.args, rt.args))
+            )
+        return bt == rt
+
+    def walk_f(bf: Formula, rf: Formula, shadowed: bool) -> bool:
+        if shadowed:
+            return bf == rf
+        match bf, rf:
+            case (TruthConst(), TruthConst()):
+                return bf == rf
+            case (Pred(n1, a1), Pred(n2, a2)):
+                return n1 == n2 and len(a1) == len(a2) and all(walk_t(p, q) for p, q in zip(a1, a2))
+            case (Imp(l1, r1), Imp(l2, r2)):
+                return walk_f(l1, l2, False) and walk_f(r1, r2, False)
+            case (Forall(y1, b1), Forall(y2, b2)):
+                return y1 == y2 and walk_f(b1, b2, y1 == x)
+            case (HedgeApp(h1, b1), HedgeApp(h2, b2)):
+                return h1 == h2 and walk_f(b1, b2, False)
+        return False
+
+    if not walk_f(body, rhs, False):
+        return None
+    if not found:
+        return Var(x)
+    first = found[0]
+    if any(t != first for t in found[1:]):
+        return None
+    return first
+
+
+def _match_t1(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(Forall(x, body), rhs):
+            t = _infer_substituted_term(body, x, rhs)
+            if t is None:
+                return None
+            try:
+                if substitute(body, x, t) == rhs:
+                    return {"x": x, "A": body, "t": t}
+            except NotSubstitutableError:
+                return None
+    return None
+
+
+def _match_t2(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(Forall(x, Imp(a, b)), Imp(a2, Forall(x2, b2))) \
+                if x == x2 and a == a2 and b == b2 and x not in free_vars(a):
+            return {"x": x, "A": a, "B": b}
+    return None
+
+
+def _match_hedge_mono(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(Imp(a, b), Imp(HedgeApp(h1, a2), HedgeApp(h2, b2))) \
+                if h1 == h2 and a == a2 and b == b2 and sig.is_hedge(h1):
+            return {"h": h1, "A": a, "B": b}
+    return None
+
+
+def _match_stresser_chain(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(HedgeApp(h, a), rhs) if h in sig.stressers:
+            i = sig.stresser_index(h)
+            if i == 1:
+                if rhs == a:
+                    return {"i": 1, "A": a}
+            else:
+                match rhs:
+                    case HedgeApp(h2, a2) if h2 == sig.stressers[i - 2] and a2 == a:
+                        return {"i": i, "A": a}
+    return None
+
+
+def _match_stresser_top(f: Formula, sig: HedgeSignature):
+    match f:
+        case HedgeApp(h, TruthConst(v)) if v == ONE and sig.stressers and h == sig.stressers[-1]:
+            return {}
+    return None
+
+
+def _match_depresser_chain(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(lhs, HedgeApp(h, a)) if h in sig.depressers:
+            j = sig.depresser_index(h)
+            if j == 1:
+                if lhs == a:
+                    return {"j": 1, "A": a}
+            else:
+                match lhs:
+                    case HedgeApp(h2, a2) if h2 == sig.depressers[j - 2] and a2 == a:
+                        return {"j": j, "A": a}
+    return None
+
+
+def _match_depresser_bottom(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(HedgeApp(h, TruthConst(z1)), TruthConst(z2)) \
+                if z1 == ZERO and z2 == ZERO and sig.depressers and h == sig.depressers[-1]:
+            return {}
+    return None
+
+
+def _match_duality(f: Formula, sig: HedgeSignature):
+    match f:
+        case Imp(HedgeApp(d, a), Imp(HedgeApp(s, Imp(a2, TruthConst(z1))), TruthConst(z2))) \
+                if z1 == ZERO and z2 == ZERO and a == a2 and d in sig.depressers:
+            i = sig.depresser_index(d)
+            if i <= len(sig.stressers) and s == sig.stressers[i - 1]:
+                return {"i": i, "A": a}
+    return None
+
+
+_BASE_SCHEMAS = (
+    ("R1", _match_r1),
+    ("R2", _match_r2),
+    ("R3", _match_r3),
+    ("R4", _match_r4),
+    ("B1", _match_b1),
+    ("T1", _match_t1),
+    ("T2", _match_t2),
+)
+_H_SCHEMAS = (
+    ("H6", _match_hedge_mono),
+    ("H7", _match_stresser_chain),
+    ("H8", _match_stresser_top),
+    ("H9", _match_depresser_chain),
+    ("H10", _match_depresser_bottom),
+)
+_DH_SCHEMAS = (
+    ("DH11", _match_hedge_mono),
+    ("DH12", _match_stresser_chain),
+    ("DH13", _match_stresser_top),
+    ("DH14", _match_depresser_chain),
+    ("DH15", _match_duality),
+)
+
+
+def reference_schema_table(sig: HedgeSignature) -> tuple[tuple[str, object], ...]:
+    extra = _H_SCHEMAS if sig.mode is HedgeMode.H else _DH_SCHEMAS
+    return _BASE_SCHEMAS + extra
+
+
+def reference_match_schema(schema: str, f: Formula, sig: HedgeSignature) -> ReferenceMatch | None:
+    f = expand(f)
+    if schema == "CONST":
+        match f:
+            case TruthConst(a):
+                return ReferenceMatch("CONST", {"a": a})
+        return None
+    for name, matcher in reference_schema_table(sig):
+        if name == schema:
+            bindings = matcher(f, sig)
+            return ReferenceMatch(name, bindings) if bindings is not None else None
+    raise ValueError(f"unknown axiom schema '{schema}'")
+
+
+def reference_lax_grade(f: Formula, sig: HedgeSignature) -> tuple[Fraction, ReferenceMatch | None]:
+    """Membership grade of ``f`` in the fuzzy set of logical axioms.
+
+    Grade 1 with a match for instances of the enabled schemas, grade a for
+    the truth constant #a, grade 0 otherwise.
+    """
+    f = expand(f)
+    for name, matcher in reference_schema_table(sig):
+        bindings = matcher(f, sig)
+        if bindings is not None:
+            return ONE, ReferenceMatch(name, bindings)
+    match f:
+        case TruthConst(a):
+            return a, ReferenceMatch("CONST", {"a": a})
+    return ZERO, None
+
+
+def reference_instantiate_match(m: ReferenceMatch, sig: HedgeSignature) -> Formula:
+    """Rebuild the formula matched by ``m``; inverse of schema matching."""
+    b = m.bindings
+    s = m.schema
+    if s == "R1":
+        return Imp(b["A"], Imp(b["B"], b["A"]))
+    if s == "R2":
+        A, B, C = b["A"], b["B"], b["C"]
+        return Imp(Imp(A, B), Imp(Imp(B, C), Imp(A, C)))
+    if s == "R3":
+        A, B = b["A"], b["B"]
+        return Imp(Imp(expanded_not(B), expanded_not(A)), Imp(A, B))
+    if s == "R4":
+        A, B = b["A"], b["B"]
+        return Imp(Imp(Imp(A, B), B), Imp(Imp(B, A), A))
+    if s == "B1":
+        from fln.syntax import Iff  # sugar used only to rebuild the template
+
+        a, bb = b["a"], b["b"]
+        return expand(Iff(Imp(TruthConst(a), TruthConst(bb)), TruthConst(luk_imp(a, bb))))
+    if s == "T1":
+        return Imp(Forall(b["x"], b["A"]), substitute(b["A"], b["x"], b["t"]))
+    if s == "T2":
+        x, A, B = b["x"], b["A"], b["B"]
+        return Imp(Forall(x, Imp(A, B)), Imp(A, Forall(x, B)))
+    if s in ("H6", "DH11"):
+        h, A, B = b["h"], b["A"], b["B"]
+        return Imp(Imp(A, B), Imp(HedgeApp(h, A), HedgeApp(h, B)))
+    if s in ("H7", "DH12"):
+        i, A = b["i"], b["A"]
+        upper = HedgeApp(sig.stressers[i - 1], A)
+        lower = A if i == 1 else HedgeApp(sig.stressers[i - 2], A)
+        return Imp(upper, lower)
+    if s in ("H8", "DH13"):
+        return HedgeApp(sig.stressers[-1], TruthConst(ONE))
+    if s in ("H9", "DH14"):
+        j, A = b["j"], b["A"]
+        weaker = A if j == 1 else HedgeApp(sig.depressers[j - 2], A)
+        return Imp(weaker, HedgeApp(sig.depressers[j - 1], A))
+    if s == "H10":
+        return expanded_not(HedgeApp(sig.depressers[-1], FALSUM))
+    if s == "DH15":
+        i, A = b["i"], b["A"]
+        return Imp(
+            HedgeApp(sig.depressers[i - 1], A),
+            expanded_not(HedgeApp(sig.stressers[i - 1], expanded_not(A))),
+        )
+    if s == "CONST":
+        return TruthConst(b["a"])
+    raise ValueError(f"unknown axiom schema '{s}'")
+
+
+ORACLE_SIGS = (
+    EMPTY,
+    SIG_H,
+    SIG_DH,
+    HedgeSignature(HedgeMode.H, (), ("d1", "d2")),
+    HedgeSignature(HedgeMode.H, ("s1", "s2", "s3"), ()),
+    HedgeSignature(HedgeMode.DH, ("s1",), ("d1",)),
+    HedgeSignature(HedgeMode.DH),
+)
+ORACLE_SIG_IDS = ("empty", "h", "dh", "h-no-stressers", "h-no-depressers", "dh-one-each", "dh-none")
+ALL_SCHEMA_NAMES = (
+    "R1", "R2", "R3", "R4", "B1", "T1", "T2",
+    "H6", "H7", "H8", "H9", "H10", "DH11", "DH12", "DH13", "DH14", "DH15", "CONST", "X1",
+)
+TENTHS = tuple(chain_values(10))
+
+
+def schema_shaped(rng: random.Random, sig: HedgeSignature) -> list[Formula]:
+    """Formulas in the shape of every schema; a part meant to repeat is
+    sometimes replaced, and hedge names, indices and constants are drawn
+    freely, so both instances and near misses occur."""
+    small = lambda: expand(random_formula(rng, sig, rng.randint(0, 2)))
+    hedges = sig.hedges + ("undeclared",)
+    hedge = lambda: rng.choice(hedges)
+    const = lambda: TruthConst(rng.choice((ZERO, ONE, rng.choice(TENTHS))))
+    a, b, c = small(), small(), small()
+    again = lambda g: g if rng.random() < 0.8 else small()
+    x = rng.choice(("x", "y"))
+    t = rng.choice((Var("x"), Var("y"), Const("u1"), Apply("f", (Var("y"),))))
+    try:
+        t1_rhs = substitute(a, x, t)
+    except NotSubstitutableError:
+        t1_rhs = a
+    ca, cb = rng.choice(TENTHS), rng.choice(TENTHS)
+    cc = luk_imp(ca, cb) if rng.random() < 0.7 else rng.choice(TENTHS)
+    neg = expanded_not
+    return [
+        Imp(a, Imp(b, again(a))),
+        Imp(Imp(a, b), Imp(Imp(again(b), c), Imp(again(a), again(c)))),
+        Imp(Imp(neg(b), neg(a)), Imp(again(a), again(b))),
+        Imp(Imp(Imp(a, b), again(b)), Imp(Imp(again(b), again(a)), again(a))),
+        expand(Iff(Imp(TruthConst(ca), TruthConst(cb)), TruthConst(cc))),
+        Imp(Forall(x, a), again(t1_rhs)),
+        Imp(Forall(x, Imp(a, b)), Imp(again(a), Forall(rng.choice((x, "z")), again(b)))),
+        Imp(Imp(a, b), Imp(HedgeApp(hedge(), again(a)), HedgeApp(hedge(), again(b)))),
+        Imp(HedgeApp(hedge(), a), HedgeApp(hedge(), again(a))),
+        Imp(HedgeApp(hedge(), a), again(a)),
+        Imp(a, HedgeApp(hedge(), again(a))),
+        HedgeApp(hedge(), const()),
+        Imp(HedgeApp(hedge(), const()), rng.choice((FALSUM, const()))),
+        Imp(HedgeApp(hedge(), a), neg(HedgeApp(hedge(), neg(again(a))))),
+        const(),
+        small(),
+    ]
+
+
+def _match_outcome(matcher, name, f, sig):
+    try:
+        m = matcher(name, f, sig)
+    except ValueError as exc:
+        return "error", str(exc)
+    return None if m is None else m.schema
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=ORACLE_SIG_IDS)
+def test_schema_templates_agree_with_reference_matchers(sig):
+    rng = random.Random(repr(sig))
+    formulas = [f for _ in range(60) for f in schema_shaped(rng, sig)]
+    formulas += [expand(random_formula(rng, sig, 3)) for _ in range(200)]
+    matched = set()
+    for f in formulas:
+        grade, m = lax_grade(f, sig)
+        ref_grade, ref = reference_lax_grade(f, sig)
+        assert (grade, m and m.schema) == (ref_grade, ref and ref.schema), f
+        if m is not None:
+            matched.add(m.schema)
+            assert instantiate_match(m, sig) == f == reference_instantiate_match(ref, sig)
+        for name in ALL_SCHEMA_NAMES:
+            got = _match_outcome(match_schema, name, f, sig)
+            assert got == _match_outcome(reference_match_schema, name, f, sig), (name, f)
+    hedge_names = ALL_SCHEMA_NAMES[7:12] if sig.mode is HedgeMode.H else ALL_SCHEMA_NAMES[12:17]
+    mono, s_chain, s_top, d_chain, last = hedge_names
+    expected = {"R1", "R2", "R3", "R4", "B1", "T1", "T2", "CONST"}
+    expected |= {mono} if sig.hedges else set()
+    expected |= {s_chain, s_top} if sig.stressers else set()
+    expected |= {d_chain, last} if sig.depressers else set()
+    assert matched == expected

@@ -27,7 +27,6 @@ from fln.syntax import (
     Conj,
     Const,
     Disj,
-    DomainElem,
     Exists,
     Forall,
     HedgeApp,
@@ -70,7 +69,6 @@ def test_eval_term_constant_function_variable():
     assert eval_term(s, Const("u"), {}) == "d1"
     assert eval_term(s, Apply("f", (Const("u"),)), {}) == "d2"
     assert eval_term(s, Var("x"), {"x": "d2"}) == "d2"
-    assert eval_term(s, DomainElem("d1"), {}) == "d1"
     with pytest.raises(EvalError, match="unbound variable"):
         eval_term(s, Var("y"), {})
     with pytest.raises(EvalError, match="undeclared"):
@@ -177,7 +175,6 @@ def test_count_structures_propositional():
 
 def test_enumeration_is_deterministic_and_total():
     syms = collect_symbols([Pred("P", (Var("x"),))])
-    syms.variables = set()
     chain = MVChain(2)
     first = [s.preds for s in enumerate_structures(syms, chain, 2, HedgeModel.empty())]
     second = [s.preds for s in enumerate_structures(syms, chain, 2, HedgeModel.empty())]
@@ -327,3 +324,32 @@ def test_equivalence_lemma_reflexive():
     f = parse_formula("P -> Q")
     res = check_equivalence_lemma(f, f, MVChain(10))
     assert res.entailed
+
+
+def random_propositional(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice((Pred("P"), Pred("Q"), TruthConst(F(1, 2))))
+    op = rng.choice((Imp, Conj, Disj, Min, Max, Iff, Neg))
+    if op is Neg:
+        return Neg(random_propositional(rng, depth - 1))
+    return op(random_propositional(rng, depth - 1), random_propositional(rng, depth - 1))
+
+
+def test_equivalence_lemma_agrees_with_tautology_degree():
+    p, q = Pred("P"), Pred("Q")
+    chain = MVChain(10)
+    cases = [(Conj(p, q), p, None), (p, Conj(p, p), None), (Imp(p, q), Imp(p, q), None)]
+    rng = random.Random(11)
+    cases += [(random_propositional(rng, 3), random_propositional(rng, 3), None) for _ in range(40)]
+    sig = HedgeSignature(HedgeMode.H, ("s1",), ())
+    failing = HedgeModel(sig, {"s1": PL_SQUARE})
+    assert not is_model(Structure(("d1",), {}, hedges=failing), Theory(sig, {}, failing), chain).ok
+    cases += [(p, HedgeApp("s1", p), failing), (p, HedgeApp("s1", p), HedgeModel(sig, {"s1": IDENTITY}))]
+    entailed = set()
+    for a, b, model in cases:
+        res = check_equivalence_lemma(a, b, chain, hedge_model=model)
+        assert res.entailed == (tautology_degree(Imp(a, b), chain, hedge_model=model) == ONE), (a, b)
+        assert (res.witness is None) == res.entailed
+        entailed.add(res.entailed)
+    assert entailed == {True, False}
+    assert check_equivalence_lemma(p, HedgeApp("s1", p), chain, hedge_model=failing).entailed
