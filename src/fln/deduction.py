@@ -16,13 +16,14 @@ bound is exact for the universe-restricted calculus.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .mv import ONE, ZERO, as_truth, luk_and, luk_imp
 from .syntax import (
     FALSUM,
+    NODE_FIELDS,
     VERUM,
     Forall,
     Formula,
@@ -31,14 +32,12 @@ from .syntax import (
     HedgeSignature,
     Iff,
     Imp,
-    Pred,
     TruthConst,
     Var,
-    Apply,
     NotSubstitutableError,
     expand,
     expanded_not,
-    formula_sort_key,
+    format_formula,
     free_vars,
     subformula_universe,
     substitute,
@@ -76,9 +75,6 @@ class Meta:
     name: str
 
 
-_FIELDS = {c: tuple(f.name for f in fields(c)) for c in (TruthConst, Pred, Imp, Forall, HedgeApp, Apply)}
-
-
 def _unify(t: object, f: object, b: dict[str, object]) -> bool:
     """Extend ``b`` so that the template ``t`` filled from ``b`` equals ``f``."""
     cls = t.__class__
@@ -96,7 +92,7 @@ def _unify(t: object, f: object, b: dict[str, object]) -> bool:
             if not _unify(ti, fi, b):
                 return False
         return True
-    names = _FIELDS.get(cls)
+    names = NODE_FIELDS.get(cls)
     if names is None:
         return t == f
     if f.__class__ is not cls:
@@ -111,7 +107,7 @@ def _fill(t: object, b: dict[str, object]) -> object:
     cls = t.__class__
     if cls is Meta:
         return b[t.name]
-    names = _FIELDS.get(cls)
+    names = NODE_FIELDS.get(cls)
     if names is None:
         return t
     return cls(*(_fill(getattr(t, n), b) for n in names))
@@ -550,7 +546,7 @@ def detect_contradiction(
     res = saturate(theory, univ, budget)
 
     rest = [f for f in univ if f not in theory.special_axioms]
-    rest.sort(key=lambda f: (isinstance(f, TruthConst), formula_sort_key(f)))
+    rest.sort(key=lambda f: (isinstance(f, TruthConst), format_formula(f)))
     for f in list(theory.special_axioms) + rest:
         nf = expanded_not(f)
         neg_grade = res.grades.get(nf)

@@ -39,19 +39,15 @@ from .hedges import HedgeFunction, HedgeModel, IDENTITY, PRESETS
 from .mv import ONE, ZERO, as_truth
 from .semantics import Structure
 from .syntax import (
+    BINARY_OPS,
     Apply,
     Const,
-    Disj,
     Exists,
     Forall,
     Formula,
     HedgeApp,
     HedgeMode,
     HedgeSignature,
-    Iff,
-    Imp,
-    Max,
-    Min,
     Multiple,
     Neg,
     Power,
@@ -60,7 +56,6 @@ from .syntax import (
     Term,
     TruthConst,
     Var,
-    Conj,
     format_formula,
     format_truth_constant,
 )
@@ -99,19 +94,17 @@ class _Token:
     value: object = None
 
 
+_OPERATORS = "|".join(re.escape(op) for _, op, _ in BINARY_OPS)
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<ws>\s+)
     | (?P<comment>%[^\n]*)
-    | (?P<iff><->)
-    | (?P<arrow>->)
-    | (?P<minop>/\\)
-    | (?P<maxop>\\/)
+    | (?P<op>{_OPERATORS})
     | (?P<tconst>\#(?:0|1|\(\d+/\d+\)))
     | (?P<qconst>'[A-Za-z_][A-Za-z0-9_]*)
     | (?P<nat>\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>[&+~^*().,])
+    | (?P<punct>[~^*().,])
     """,
     re.VERBOSE,
 )
@@ -205,45 +198,21 @@ class _FormulaParser:
             self.advance()
             body = self.formula()
             return Forall(v.text, body) if t.text == "forall" else Exists(v.text, body)
-        left = self.equiv()
-        if self.peek().kind == "arrow":
+        imp, arrow, _ = BINARY_OPS[0]
+        left = self.binary(1)
+        if self.peek().text == arrow:
             self.advance()
-            return Imp(left, self.formula())
+            return imp(left, self.formula())
         return left
 
-    def equiv(self) -> Formula:
-        left = self.disj()
-        while self.peek().kind == "iff":
+    def binary(self, i: int) -> Formula:
+        """A left-associative chain of ``BINARY_OPS[i]``; one frame per level."""
+        cls, op, _ = BINARY_OPS[i]
+        tighter = i + 1 < len(BINARY_OPS)
+        left = self.binary(i + 1) if tighter else self.unary()
+        while self.peek().text == op:
             self.advance()
-            left = Iff(left, self.disj())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.maxf()
-        while self.is_punct("+"):
-            self.advance()
-            left = Disj(left, self.maxf())
-        return left
-
-    def maxf(self) -> Formula:
-        left = self.minf()
-        while self.peek().kind == "maxop":
-            self.advance()
-            left = Max(left, self.minf())
-        return left
-
-    def minf(self) -> Formula:
-        left = self.conj()
-        while self.peek().kind == "minop":
-            self.advance()
-            left = Min(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        while self.is_punct("&"):
-            self.advance()
-            left = Conj(left, self.unary())
+            left = cls(left, self.binary(i + 1) if tighter else self.unary())
         return left
 
     def unary(self) -> Formula:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, is_
+from typing import get_args
 
 from .mv import ONE, ZERO
 
@@ -202,11 +204,83 @@ class NotSubstitutableError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# The node table.  Every formula and term kind with its fields in
+# constructor order; the fields named left, right and body hold
+# subformulas.  The traversals below and the schema unifier in
+# fln.deduction read this table instead of spelling out every kind.
+
+NODE_FIELDS: dict[type, tuple[str, ...]] = {
+    TruthConst: ("value",),
+    Pred: ("name", "args"),
+    Imp: ("left", "right"),
+    Forall: ("var", "body"),
+    HedgeApp: ("hedge", "body"),
+    Neg: ("body",),
+    Conj: ("left", "right"),
+    Disj: ("left", "right"),
+    Min: ("left", "right"),
+    Max: ("left", "right"),
+    Iff: ("left", "right"),
+    Exists: ("var", "body"),
+    Power: ("body", "count"),
+    Multiple: ("count", "body"),
+    Var: ("name",),
+    Const: ("name",),
+    Apply: ("func", "args"),
+}
+_SUBFORMULA_FIELDS = {
+    cls: tuple(n for n in NODE_FIELDS[cls] if n in ("left", "right", "body")) for cls in get_args(Formula)
+}
+_CORE = (TruthConst, Pred, Imp, Forall, HedgeApp)
+
+
+def _getter(names: tuple[str, ...]):
+    if len(names) == 1:  # attrgetter of one name returns the bare value
+        get = attrgetter(names[0])
+        return lambda f: (get(f),)
+    return attrgetter(*names) if names else lambda f: ()
+
+
+_CHILDREN = {cls: _getter(names) for cls, names in _SUBFORMULA_FIELDS.items()}
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of ``f`` in field order."""
+    try:
+        get = _CHILDREN[f.__class__]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+    return get(f)
+
+
+def rebuild(f: Formula, kids: "list[Formula] | tuple[Formula, ...]") -> Formula:
+    """``f`` with its subformulas replaced by ``kids``; ``f`` itself when
+    every kid is the object already in its place."""
+    if all(map(is_, kids, children(f))):
+        return f
+    it = iter(kids)
+    cls = f.__class__
+    return cls(*[next(it) if n in _SUBFORMULA_FIELDS[cls] else getattr(f, n) for n in NODE_FIELDS[cls]])
+
+
+# ---------------------------------------------------------------------------
 # Printing.  Binding strength, loosest to tightest:
 #   quantifiers < -> < <-> < + < \/ < /\ < & < prefix (~, hedges, n*) < ^ < atoms
 # `->` is right-associative, the other binary connectives left-associative.
 
 _QUANT, _IMP, _IFF, _DISJ, _MAX, _MIN, _CONJ, _UNARY, _POSTFIX, _ATOM = range(10)
+
+# The binary connectives, loosest first: class, operator text, precedence.
+# The parser reads the same table.
+BINARY_OPS: tuple[tuple[type, str, int], ...] = (
+    (Imp, "->", _IMP),
+    (Iff, "<->", _IFF),
+    (Disj, "+", _DISJ),
+    (Max, "\\/", _MAX),
+    (Min, "/\\", _MIN),
+    (Conj, "&", _CONJ),
+)
+_BINARY = {cls: (" " + op + " ", level) for cls, op, level in BINARY_OPS}
 
 
 def format_term(t: Term) -> str:
@@ -242,6 +316,13 @@ def format_formula(f: Formula, recover_negation: bool = False) -> str:
         return text
 
     def _render(g: Formula) -> tuple[str, int]:
+        binary = _BINARY.get(g.__class__)
+        if binary is not None:
+            op, own = binary
+            # `->` takes a whole formula on its right; the others bind their
+            # right operand one level tighter.
+            left, right = (own + 1, _QUANT) if isinstance(g, Imp) else (own, own + 1)
+            return fmt(g.left, left) + op + fmt(g.right, right), own
         match g:
             case TruthConst(v):
                 return format_truth_constant(v), _ATOM
@@ -249,18 +330,6 @@ def format_formula(f: Formula, recover_negation: bool = False) -> str:
                 if args:
                     return name + "(" + ",".join(format_term(a) for a in args) + ")", _ATOM
                 return name, _ATOM
-            case Imp(l, r):
-                return fmt(l, _IFF) + " -> " + fmt(r, _QUANT), _IMP
-            case Iff(l, r):
-                return fmt(l, _IFF) + " <-> " + fmt(r, _DISJ), _IFF
-            case Disj(l, r):
-                return fmt(l, _DISJ) + " + " + fmt(r, _MAX), _DISJ
-            case Max(l, r):
-                return fmt(l, _MAX) + " \\/ " + fmt(r, _MIN), _MAX
-            case Min(l, r):
-                return fmt(l, _MIN) + " /\\ " + fmt(r, _CONJ), _MIN
-            case Conj(l, r):
-                return fmt(l, _CONJ) + " & " + fmt(r, _UNARY), _CONJ
             case Neg(b):
                 return "~" + fmt(b, _UNARY), _UNARY
             case HedgeApp(h, b):
@@ -278,11 +347,6 @@ def format_formula(f: Formula, recover_negation: bool = False) -> str:
     return fmt(f, _QUANT)
 
 
-def formula_sort_key(f: Formula) -> str:
-    """Deterministic ordering key, used wherever output order matters."""
-    return format_formula(f)
-
-
 # ---------------------------------------------------------------------------
 # Expansion into the core language
 
@@ -296,73 +360,64 @@ def _expanded_conj(l: Formula, r: Formula) -> Formula:
     return expanded_not(Imp(l, expanded_not(r)))
 
 
-def _expanded_max(l: Formula, r: Formula) -> Formula:
-    # A \/ B  ==  (B -> A) -> A
-    return Imp(Imp(r, l), l)
-
-
 def _expanded_min(l: Formula, r: Formula) -> Formula:
     # A /\ B  ==  ~((B -> A) -> ~B)
     return expanded_not(Imp(Imp(r, l), expanded_not(r)))
+
+
+def _expanded_disj(l: Formula, r: Formula) -> Formula:
+    # A + B  ==  ~(~A & ~B)
+    return expanded_not(_expanded_conj(expanded_not(l), expanded_not(r)))
+
+
+def _repeat(op, b: Formula, n: int) -> Formula:
+    out = b
+    for _ in range(n - 1):
+        out = op(out, b)
+    return out
+
+
+# Each sugar kind's core form, built from the node and its expanded kids.
+_SUGAR = {
+    Neg: lambda f, b: expanded_not(b),
+    Conj: lambda f, l, r: _expanded_conj(l, r),
+    Disj: lambda f, l, r: _expanded_disj(l, r),
+    # A \/ B  ==  (B -> A) -> A
+    Max: lambda f, l, r: Imp(Imp(r, l), l),
+    Min: lambda f, l, r: _expanded_min(l, r),
+    Iff: lambda f, l, r: _expanded_min(Imp(l, r), Imp(r, l)),
+    Exists: lambda f, b: expanded_not(Forall(f.var, expanded_not(b))),
+    Power: lambda f, b: _repeat(_expanded_conj, b, f.count),
+    Multiple: lambda f, b: _repeat(_expanded_disj, b, f.count),
+}
 
 
 def expand(f: Formula) -> Formula:
     """Rewrite every sugared connective into the core language.
 
     Idempotent; preserves free variables; evaluation of the result agrees
-    with direct evaluation of the sugar.
+    with direct evaluation of the sugar.  A formula that is already core
+    comes back as the same object.
     """
-    match f:
-        case TruthConst() | Pred():
-            return f
-        case Imp(l, r):
-            return Imp(expand(l), expand(r))
-        case Forall(x, b):
-            return Forall(x, expand(b))
-        case HedgeApp(h, b):
-            return HedgeApp(h, expand(b))
-        case Neg(b):
-            return expanded_not(expand(b))
-        case Conj(l, r):
-            return _expanded_conj(expand(l), expand(r))
-        case Disj(l, r):
-            # A + B  ==  ~(~A & ~B)
-            el, er = expand(l), expand(r)
-            return expanded_not(_expanded_conj(expanded_not(el), expanded_not(er)))
-        case Max(l, r):
-            return _expanded_max(expand(l), expand(r))
-        case Min(l, r):
-            return _expanded_min(expand(l), expand(r))
-        case Iff(l, r):
-            el, er = expand(l), expand(r)
-            return _expanded_min(Imp(el, er), Imp(er, el))
-        case Exists(x, b):
-            return expanded_not(Forall(x, expanded_not(expand(b))))
-        case Power(b, n):
-            eb = expand(b)
-            out = eb
-            for _ in range(n - 1):
-                out = _expanded_conj(out, eb)
-            return out
-        case Multiple(n, b):
-            eb = expand(b)
-            out = eb
-            for _ in range(n - 1):
-                neg = expanded_not
-                out = neg(_expanded_conj(neg(out), neg(eb)))
-            return out
-    raise TypeError(f"not a formula: {f!r}")
+    old = children(f)
+    if not old:
+        return f
+    kids = []
+    for g in old:
+        kids.append(expand(g))
+    sugar = _SUGAR.get(f.__class__)
+    if sugar is None:
+        return rebuild(f, kids)
+    return sugar(f, *kids)
 
 
 def is_expanded(f: Formula) -> bool:
-    match f:
-        case TruthConst() | Pred():
-            return True
-        case Imp(l, r):
-            return is_expanded(l) and is_expanded(r)
-        case Forall(_, b) | HedgeApp(_, b):
-            return is_expanded(b)
-    return False
+    if not isinstance(f, _CORE):
+        return False
+    for g in children(f):
+        if not is_expanded(g):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +436,16 @@ def term_vars(t: Term) -> frozenset[str]:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    match f:
-        case TruthConst():
-            return frozenset()
-        case Pred(_, args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= term_vars(a)
-            return out
-        case Imp(l, r) | Conj(l, r) | Disj(l, r) | Min(l, r) | Max(l, r) | Iff(l, r):
-            return free_vars(l) | free_vars(r)
-        case Forall(x, b) | Exists(x, b):
-            return free_vars(b) - {x}
-        case HedgeApp(_, b) | Neg(b) | Power(b, _):
-            return free_vars(b)
-        case Multiple(_, b):
-            return free_vars(b)
-    raise TypeError(f"not a formula: {f!r}")
+    out: frozenset[str] = frozenset()
+    if isinstance(f, Pred):
+        for a in f.args:
+            out |= term_vars(a)
+        return out
+    for g in children(f):
+        out |= free_vars(g)
+    if isinstance(f, (Forall, Exists)):
+        return out - {f.var}
+    return out
 
 
 def _subst_term(t: Term, x: str, repl: Term) -> Term:
@@ -419,44 +467,17 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
     tv = term_vars(t)
 
     def go(g: Formula) -> Formula:
-        match g:
-            case TruthConst():
+        if isinstance(g, Pred):
+            return Pred(g.name, tuple(_subst_term(a, x, t) for a in g.args))
+        if isinstance(g, (Forall, Exists)):
+            if g.var == x:
                 return g
-            case Pred(name, args):
-                return Pred(name, tuple(_subst_term(a, x, t) for a in args))
-            case Imp(l, r):
-                return Imp(go(l), go(r))
-            case Conj(l, r):
-                return Conj(go(l), go(r))
-            case Disj(l, r):
-                return Disj(go(l), go(r))
-            case Min(l, r):
-                return Min(go(l), go(r))
-            case Max(l, r):
-                return Max(go(l), go(r))
-            case Iff(l, r):
-                return Iff(go(l), go(r))
-            case Neg(b):
-                return Neg(go(b))
-            case HedgeApp(h, b):
-                return HedgeApp(h, go(b))
-            case Power(b, n):
-                return Power(go(b), n)
-            case Multiple(n, b):
-                return Multiple(n, go(b))
-            case Forall(y, b):
-                if y == x:
-                    return g
-                if y in tv and x in free_vars(b):
-                    raise NotSubstitutableError(y)
-                return Forall(y, go(b))
-            case Exists(y, b):
-                if y == x:
-                    return g
-                if y in tv and x in free_vars(b):
-                    raise NotSubstitutableError(y)
-                return Exists(y, go(b))
-        raise TypeError(f"not a formula: {g!r}")
+            if g.var in tv and x in free_vars(g.body):
+                raise NotSubstitutableError(g.var)
+        kids = []
+        for h in children(g):
+            kids.append(go(h))
+        return rebuild(g, kids)
 
     return go(f)
 
@@ -475,32 +496,22 @@ def subformulas(f: Formula) -> list[Formula]:
             return
         seen.add(g)
         out.append(g)
-        match g:
-            case Imp(l, r):
-                go(l)
-                go(r)
-            case Forall(_, b) | HedgeApp(_, b):
-                go(b)
-            case TruthConst() | Pred():
-                pass
-            case _:
-                raise ValueError("subformulas expects an expanded formula")
+        if not isinstance(g, _CORE):
+            raise ValueError("subformulas expects an expanded formula")
+        for h in children(g):
+            go(h)
 
     go(f)
     return out
 
 
 def truth_constants_in(f: Formula) -> frozenset[Fraction]:
-    match f:
-        case TruthConst(v):
-            return frozenset((v,))
-        case Pred():
-            return frozenset()
-        case Imp(l, r) | Conj(l, r) | Disj(l, r) | Min(l, r) | Max(l, r) | Iff(l, r):
-            return truth_constants_in(l) | truth_constants_in(r)
-        case Forall(_, b) | Exists(_, b) | HedgeApp(_, b) | Neg(b) | Power(b, _) | Multiple(_, b):
-            return truth_constants_in(b)
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, TruthConst):
+        return frozenset((f.value,))
+    out: frozenset[Fraction] = frozenset()
+    for g in children(f):
+        out |= truth_constants_in(g)
+    return out
 
 
 def subformula_universe(
@@ -576,23 +587,14 @@ def collect_symbols(formulas: "list[Formula] | tuple[Formula, ...]") -> Symbols:
                 walk_term(a)
 
     def walk(f: Formula) -> None:
-        match f:
-            case TruthConst():
-                pass
-            case Pred(name, args):
-                syms.merge_pred(name, len(args))
-                for a in args:
-                    walk_term(a)
-            case Imp(l, r) | Conj(l, r) | Disj(l, r) | Min(l, r) | Max(l, r) | Iff(l, r):
-                walk(l)
-                walk(r)
-            case Forall(_, b) | Exists(_, b):
-                syms.has_quantifier = True
-                walk(b)
-            case HedgeApp(_, b) | Neg(b) | Power(b, _) | Multiple(_, b):
-                walk(b)
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
+        if isinstance(f, Pred):
+            syms.merge_pred(f.name, len(f.args))
+            for a in f.args:
+                walk_term(a)
+        elif isinstance(f, (Forall, Exists)):
+            syms.has_quantifier = True
+        for g in children(f):
+            walk(g)
 
     for f in formulas:
         walk(f)

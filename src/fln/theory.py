@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mv import ZERO, as_truth
+from .mv import as_truth
 from .hedges import HedgeModel
 from .syntax import Formula, HedgeSignature, expand, truth_constants_in
 
@@ -50,13 +50,6 @@ class Theory:
             else:
                 sax[f] = g
         return Theory(sig, sax, model)
-
-    def sax_grade(self, f: Formula) -> Fraction:
-        return self.special_axioms.get(expand(f), ZERO)
-
-    def support(self) -> tuple[Formula, ...]:
-        """Special-axiom formulas in insertion order."""
-        return tuple(self.special_axioms)
 
     def grade_constants(self) -> frozenset[Fraction]:
         """Truth constants relevant to this theory: those appearing inside

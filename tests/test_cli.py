@@ -232,6 +232,28 @@ def test_deeply_nested_input_exits_two(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: input nested too deeply\n"
 
 
+# About 80% of the deepest inputs these commands accept when run from a test
+# (104 parentheses, 477 negations or hedges, P^159); the deeper inputs above
+# exit 2.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("parse", "(" * 83 + "P" + ")" * 83), "P\n"),
+        (("parse", "~" * 381 + "P"), "~" * 381 + "P\n"),
+        (("parse", "--sig", "SIG", "s1 " * 381 + "P"), "s1 " * 381 + "P\n"),
+        (("prove", "--theory", "EMPTY", "--goal", "P^127"), "BOUND 0\nFIXPOINT yes\n"),
+    ],
+    ids=["parens-83", "negations-381", "hedges-381", "power-127"],
+)
+def test_nesting_depth_accepted(tmp_path, argv, expected):
+    files = {"SIG": HEDGE_SIG, "EMPTY": ""}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out = run(*(str(tmp_path / a) if a in files else a for a in argv))
+    assert code == 0
+    assert out.startswith(expected)
+
+
 def test_space_guard_exit_four(tmp_path, capsys):
     theory = tmp_path / "t.fln"
     theory.write_text("")
