@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import Iterator
 
 from .mv import MVChain, ONE, ZERO, luk_imp, luk_neg
 from .syntax import HedgeMode, HedgeSignature
@@ -235,7 +236,7 @@ def _dual(table: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 def _monotonicity_violations(
     check: str, hedge: str, table: tuple[Fraction, ...], chain: MVChain
-) -> list[Violation]:
+) -> Iterator[Violation]:
     """Instances of (a ⇒ b) ⇒ (f(a) ⇒ f(b)) below 1, in row-major (a, b) order.
 
     On the common denominator D of the chain and the table, A_i = i·D/k and
@@ -249,18 +250,16 @@ def _monotonicity_violations(
     # Adjacent steps in [0, D/k] telescope: for i <= j, F_i - F_j <= 0, and
     # for i > j, F_i - F_j <= (i-j)·D/k = A_i - A_j, so no instance is below 1.
     if all(0 <= hi - lo <= step for lo, hi in zip(nums, nums[1:])):
-        return []
+        return
     values = chain.values()
     rows = list(zip(values, nums, range(0, denom + 1, step)))
-    vs: list[Violation] = []
     for a, fa, aa in rows:
         for b, fb, ab in rows:
             gap = fa - fb
             if aa > ab:
                 gap -= aa - ab
             if gap > 0:
-                vs.append(Violation(check, hedge, (a, b), Fraction(denom - gap, denom)))
-    return vs
+                yield Violation(check, hedge, (a, b), Fraction(denom - gap, denom))
 
 
 def validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationReport:
@@ -270,50 +269,55 @@ def validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationReport:
     attained value.  A failing witness is sound for [0, 1]; a pass is
     relative to the chain.
     """
+    return ValidationReport(tuple(axiom_violations(model, chain)))
+
+
+def axiom_violations(model: HedgeModel, chain: MVChain) -> Iterator[Violation]:
+    """The violations :func:`validate_axioms` reports, in its order, one at
+    a time; a caller that only asks whether the model passes stops at the
+    first."""
     sig = model.signature
     ids = _axiom_ids(sig.mode)
     values = chain.values()
     table = _tabulate(model, chain)
-    vs: list[Violation] = []
 
     for name in sig.hedges:
-        vs.extend(_monotonicity_violations(ids["mono"], name, table[name], chain))
+        yield from _monotonicity_violations(ids["mono"], name, table[name], chain)
 
     for i, name in enumerate(sig.stressers, start=1):
         prev = values if i == 1 else table[sig.stressers[i - 2]]
         for a, fa, pa in zip(values, table[name], prev):
             v = luk_imp(fa, pa)
             if v != ONE:
-                vs.append(Violation(ids["schain"], name, (a,), v))
+                yield Violation(ids["schain"], name, (a,), v)
 
     if sig.stressers:
         top = sig.stressers[-1]
         v = table[top][-1]
         if v != ONE:
-            vs.append(Violation(ids["stop"], top, (ONE,), v))
+            yield Violation(ids["stop"], top, (ONE,), v)
 
     for j, name in enumerate(sig.depressers, start=1):
         prev = values if j == 1 else table[sig.depressers[j - 2]]
         for a, pa, fa in zip(values, prev, table[name]):
             v = luk_imp(pa, fa)
             if v != ONE:
-                vs.append(Violation(ids["dchain"], name, (a,), v))
+                yield Violation(ids["dchain"], name, (a,), v)
 
     if sig.mode is HedgeMode.H:
         if sig.depressers:
             bottom = sig.depressers[-1]
             v = luk_neg(table[bottom][0])
             if v != ONE:
-                vs.append(Violation(ids["dbot"], bottom, (ZERO,), v))
+                yield Violation(ids["dbot"], bottom, (ZERO,), v)
     else:
         for i, name in enumerate(sig.depressers, start=1):
             upper = _dual(table[sig.stressers[i - 1]])
             for a, da, ua in zip(values, table[name], upper):
                 v = luk_imp(da, ua)
                 if v != ONE:
-                    vs.append(Violation(ids["dual"], name, (a,), v))
+                    yield Violation(ids["dual"], name, (a,), v)
 
-    return ValidationReport(tuple(vs))
 
 
 # ---------------------------------------------------------------------------

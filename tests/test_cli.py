@@ -1,4 +1,5 @@
 import io
+import time
 from fractions import Fraction
 
 import pytest
@@ -300,3 +301,21 @@ def test_open_goal_rejected(tmp_path, capsys):
     code, _ = run("prove", "--theory", str(theory), "--goal", "R(x)")
     assert code == 2
     assert "closed" in capsys.readouterr().err
+
+
+def test_huge_power_goal_is_evaluated_without_expansion(tmp_path):
+    # P^n is one node; its truth function max(0, n·a - (n-1)) needs no
+    # n-fold expansion, which would nest too deeply at 1000 and build about
+    # 10^8 nodes at 100000000.
+    theory = tmp_path / "t.fln"
+    theory.write_text("1 : P\n9/10 : Q\n")
+    start = time.perf_counter()
+    assert run("tautology", "--goal", "P^1000") == (0, "DEGREE 0\n")
+    assert run("tautology", "--goal", "P^100000000") == (0, "DEGREE 0\n")
+    assert run("sem-degree", "--theory", str(theory), "--goal", "P^100000000", "--format", "tsv") == (
+        0,
+        "sem-degree\t1\n",
+    )
+    assert run("sem-degree", "--theory", str(theory), "--goal", "1000*Q", "--format", "tsv") == (0, "sem-degree\t1\n")
+    assert run("sem-degree", "--theory", str(theory), "--goal", "Q^5", "--format", "tsv") == (0, "sem-degree\t1/2\n")
+    assert time.perf_counter() - start < 5

@@ -20,7 +20,9 @@ from fln.hedges import (
     validate_shape,
 )
 from fln.mv import MVChain, ONE, ZERO, biresiduum, luk_imp, luk_neg, power
-from fln.syntax import HedgeMode, HedgeSignature
+from fln.semantics import sem_degree
+from fln.syntax import HedgeApp, HedgeMode, HedgeSignature, Pred
+from fln.theory import Theory
 
 F = Fraction
 
@@ -450,7 +452,8 @@ def test_boundaries_match_pointwise_reference():
 
 def test_validate_axioms_tabulates_each_hedge_once(monkeypatch):
     # A call-count guard, not a timing test: the kernel reads k+1 values per
-    # hedge and never evaluates a hedge per pair of chain points.
+    # hedge and never evaluates a hedge per pair of chain points.  sem_degree
+    # only asks whether the model passes, so it stops at the first violation.
     import fln.hedges
 
     calls = 0
@@ -468,6 +471,22 @@ def test_validate_axioms_tabulates_each_hedge_once(monkeypatch):
     report = validate_axioms(model, MVChain(k))
     assert not report.passed
     assert calls <= (k + 1) * len(sig.hedges) + 2
+
+    made = 0
+
+    def violation(*args):
+        nonlocal made
+        made += 1
+        return Violation(*args)
+
+    monkeypatch.setattr(fln.hedges, "Violation", violation)
+    calls = 0
+    theory = Theory(sig, {}, model)
+    res = sem_degree(theory, HedgeApp("s1", Pred("P")), MVChain(k))
+    assert (res.degree, res.witness, res.structures_checked) == (ONE, None, 0)
+    assert calls <= (k + 1) * len(sig.hedges) + 2
+    assert made == 1
+    assert len(report.violations) > 1000
 
 
 def test_xs_is_cached_and_outside_equality():

@@ -1,16 +1,23 @@
+from __future__ import annotations
+
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 import pytest
 
 from fln.deduction import provability_lower_bound
-from fln.hedges import HedgeModel, IDENTITY, PL_SQUARE
-from fln.mv import MVChain, ONE, ZERO, chain_values, luk_imp
-from fln.parser import parse_formula, parse_theory
+from fln.hedges import HedgeFunction, HedgeModel, IDENTITY, PL_SQRT, PL_SQUARE, blend, eval_hedge, validate_axioms
+from fln.mv import MVChain, ONE, ZERO, biresiduum, chain_values, join, luk_and, luk_imp, luk_neg, luk_or, meet
+from fln.mv import multiple as mv_multiple, power as mv_power
+from fln.parser import format_structure, parse_formula, parse_theory
 from fln.semantics import (
+    DEFAULT_STRUCTURE_LIMIT,
+    EntailmentResult,
     EvalError,
     OpenFormulaError,
+    SemDegreeResult,
     SpaceGuardError,
     Structure,
     check_equivalence_lemma,
@@ -29,6 +36,7 @@ from fln.syntax import (
     Disj,
     Exists,
     Forall,
+    Formula,
     HedgeApp,
     HedgeMode,
     HedgeSignature,
@@ -41,12 +49,16 @@ from fln.syntax import (
     Power,
     Pred,
     Symbols,
+    Term,
     TruthConst,
     Var,
     collect_symbols,
     expand,
+    format_formula,
+    free_vars,
 )
 from fln.theory import Theory
+from genformulas import SIG_DH, SIG_H, VARS, random_formula, random_term
 
 F = Fraction
 
@@ -353,3 +365,487 @@ def test_equivalence_lemma_agrees_with_tautology_degree():
         entailed.add(res.entailed)
     assert entailed == {True, False}
     assert check_equivalence_lemma(p, HedgeApp("s1", p), chain, hedge_model=failing).entailed
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the match-based one it replaced.  The
+# reference_* functions are verbatim copies of the previous fln.semantics
+# code (renamed, with the structure-enumeration helpers they call); they
+# are the oracle for values, error texts, witnesses and search counts.
+
+Valuation = dict
+
+
+def reference_eval_term(structure: Structure, term: Term, env: Valuation) -> str:
+    if isinstance(term, Var):
+        try:
+            return env[term.name]
+        except KeyError:
+            raise EvalError(f"unbound variable '{term.name}'") from None
+    if isinstance(term, Const):
+        try:
+            return structure.consts[term.name]
+        except KeyError:
+            raise EvalError(f"undeclared object constant '{term.name}'") from None
+    table = structure.funcs.get(term.func)
+    if table is None:
+        raise EvalError(f"undeclared function '{term.func}'")
+    key = tuple(reference_eval_term(structure, a, env) for a in term.args)
+    try:
+        return table[key]
+    except KeyError:
+        raise EvalError(f"function table {term.func} has no entry for {key}") from None
+
+
+def reference_eval_formula(structure: Structure, formula: Formula, env: Valuation | None = None) -> Fraction:
+    """Truth value of ``formula`` in ``structure`` under ``env``.
+
+    Sugared connectives are evaluated directly through their truth
+    functions; this agrees with evaluating the expansion.
+    """
+    e: dict[str, str] = dict(env) if env else {}
+
+    def ev(g: Formula, e: dict[str, str]) -> Fraction:
+        match g:
+            case TruthConst(v):
+                return v
+            case Pred(name, args):
+                table = structure.preds.get(name)
+                if table is None:
+                    raise EvalError(f"undeclared predicate '{name}'")
+                key = tuple(reference_eval_term(structure, t, e) for t in args)
+                try:
+                    return table[key]
+                except KeyError:
+                    raise EvalError(f"predicate table {name} has no entry for {key}") from None
+            case Imp(l, r):
+                return luk_imp(ev(l, e), ev(r, e))
+            case Forall(x, b):
+                return min(ev(b, {**e, x: d}) for d in structure.domain)
+            case Exists(x, b):
+                return max(ev(b, {**e, x: d}) for d in structure.domain)
+            case HedgeApp(h, b):
+                try:
+                    fn = structure.hedges.function_for(h)
+                except KeyError as exc:
+                    raise EvalError(str(exc)) from None
+                return eval_hedge(fn, ev(b, e))
+            case Neg(b):
+                return luk_neg(ev(b, e))
+            case Conj(l, r):
+                return luk_and(ev(l, e), ev(r, e))
+            case Disj(l, r):
+                return luk_or(ev(l, e), ev(r, e))
+            case Min(l, r):
+                return meet(ev(l, e), ev(r, e))
+            case Max(l, r):
+                return join(ev(l, e), ev(r, e))
+            case Iff(l, r):
+                return biresiduum(ev(l, e), ev(r, e))
+            case Power(b, n):
+                return mv_power(ev(b, e), n)
+            case Multiple(n, b):
+                return mv_multiple(ev(b, e), n)
+        raise TypeError(f"not a formula: {g!r}")
+
+    return ev(formula, e)
+
+
+def _is_propositional(syms: Symbols) -> bool:
+    return (
+        not syms.funcs
+        and not syms.consts
+        and not syms.has_quantifier
+        and all(arity == 0 for arity in syms.preds.values())
+    )
+
+
+def reference_count_structures(syms: Symbols, chain: MVChain, max_domain: int) -> int:
+    sizes = (1,) if _is_propositional(syms) else tuple(range(1, max_domain + 1))
+    total = 0
+    for m in sizes:
+        c = len(chain) ** sum(m**a for a in syms.preds.values())
+        for a in syms.funcs.values():
+            c *= m ** (m**a)
+        c *= m ** len(syms.consts)
+        total += c
+    return total
+
+
+def reference_enumerate_structures(
+    syms: Symbols,
+    chain: MVChain,
+    max_domain: int,
+    hedge_model: HedgeModel,
+    limit: int = DEFAULT_STRUCTURE_LIMIT,
+) -> Iterator[Structure]:
+    """All chain-valued structures for the symbols, domain sizes ascending,
+    tables in lexicographic order.  Purely propositional symbol sets are
+    enumerated over a single-element domain, which loses nothing."""
+    if max_domain < 1:
+        raise ValueError("max_domain must be >= 1")
+    required = reference_count_structures(syms, chain, max_domain)
+    if required > limit:
+        raise SpaceGuardError(required, limit)
+    sizes = (1,) if _is_propositional(syms) else tuple(range(1, max_domain + 1))
+    pred_names = sorted(syms.preds)
+    func_names = sorted(syms.funcs)
+    const_names = sorted(syms.consts)
+    values = chain.values()
+    for m in sizes:
+        elements = tuple(f"d{i}" for i in range(1, m + 1))
+        pred_keys = {p: list(product(elements, repeat=syms.preds[p])) for p in pred_names}
+        func_keys = {f: list(product(elements, repeat=syms.funcs[f])) for f in func_names}
+        for const_choice in product(elements, repeat=len(const_names)):
+            consts = dict(zip(const_names, const_choice))
+            for func_choice in product(*(product(elements, repeat=len(func_keys[f])) for f in func_names)):
+                funcs = {
+                    f: dict(zip(func_keys[f], vals)) for f, vals in zip(func_names, func_choice)
+                }
+                for pred_choice in product(*(product(values, repeat=len(pred_keys[p])) for p in pred_names)):
+                    preds = {
+                        p: dict(zip(pred_keys[p], vals)) for p, vals in zip(pred_names, pred_choice)
+                    }
+                    yield Structure(elements, preds, funcs, consts, hedge_model)
+
+
+def reference_sem_degree(
+    theory: Theory,
+    goal: Formula,
+    chain: MVChain,
+    max_domain: int = 2,
+    limit: int = DEFAULT_STRUCTURE_LIMIT,
+) -> SemDegreeResult:
+    """Minimum truth value of ``goal`` over every enumerated model of the
+    theory; the first structure attaining it is returned as witness.
+
+    An empty model class (over-graded axioms, or hedge functions failing
+    the hedge axioms on this chain) yields degree 1 and no witness.
+    """
+    goal_e = expand(goal)
+    if free_vars(goal_e):
+        raise OpenFormulaError("the goal must be closed")
+    for f in theory.special_axioms:
+        if free_vars(f):
+            raise OpenFormulaError(f"special axiom {format_formula(f)} is open")
+    syms = collect_symbols(list(theory.special_axioms) + [goal_e])
+    if not validate_axioms(theory.hedge_model, chain).passed:
+        return SemDegreeResult(ONE, None, 0)
+    sax_items = list(theory.special_axioms.items())
+    best: Fraction | None = None
+    witness: Structure | None = None
+    checked = 0
+    for s in reference_enumerate_structures(syms, chain, max_domain, theory.hedge_model, limit):
+        checked += 1
+        if any(reference_eval_formula(s, f) < g for f, g in sax_items):
+            continue
+        v = reference_eval_formula(s, goal_e)
+        if best is None or v < best:
+            best, witness = v, s
+            if best == ZERO:
+                break
+    if best is None:
+        return SemDegreeResult(ONE, None, checked)
+    return SemDegreeResult(best, witness, checked)
+
+
+def reference_check_equivalence_lemma(
+    a: Formula,
+    b: Formula,
+    chain: MVChain,
+    max_domain: int = 2,
+    hedge_model: HedgeModel | None = None,
+    limit: int = DEFAULT_STRUCTURE_LIMIT,
+) -> EntailmentResult:
+    """Decide whether ``a -> b`` is a 1-tautology by comparing the values
+    of ``a`` and ``b`` pointwise over the enumerated structures.
+
+    On a negative answer the witness structure makes ``a`` truer than
+    ``b``.  Hedge functions failing the hedge axioms on the chain admit no
+    structure, so the answer is then positive, as for the tautology degree.
+    """
+    model = hedge_model or HedgeModel.empty()
+    ae, be = expand(a), expand(b)
+    if free_vars(ae) or free_vars(be):
+        raise OpenFormulaError("equivalence check needs closed formulas")
+    if validate_axioms(model, chain).passed:
+        syms = collect_symbols([ae, be])
+        for s in reference_enumerate_structures(syms, chain, max_domain, model, limit):
+            if reference_eval_formula(s, ae) > reference_eval_formula(s, be):
+                return EntailmentResult(False, s)
+    return EntailmentResult(True, None)
+
+
+def outcome(fn, *args):
+    """The result, or the type and text of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the oracle comparison covers every exception
+        return type(exc), str(exc)
+
+
+def shape(s: Structure | None):
+    """Everything of a structure, with the order of every table."""
+    if s is None:
+        return None
+    return (
+        s.domain,
+        [(p, list(t.items())) for p, t in s.preds.items()],
+        [(f, list(t.items())) for f, t in s.funcs.items()],
+        list(s.consts.items()),
+        s.hedges,
+    )
+
+
+def lifted(rng: random.Random) -> HedgeFunction:
+    """Random breakpoints with mixed denominators, endpoints anywhere."""
+    q = rng.choice((5, 7, 12, 16))
+    xs = sorted(rng.sample([F(i, 12) for i in range(1, 12)], rng.randint(0, 3)))
+    ends = [F(rng.randint(0, q), q) for _ in range(2)]
+    return HedgeFunction(((ZERO, ends[0]), *((x, F(rng.randint(0, q), q)) for x in xs), (ONE, ends[1])))
+
+
+SHAPES = (IDENTITY, PL_SQUARE, PL_SQRT, blend(PL_SQUARE, F(1, 3)), blend(PL_SQRT, F(2, 5)))
+
+
+def random_hedges(rng: random.Random, sig: HedgeSignature) -> HedgeModel:
+    return HedgeModel(sig, {h: rng.choice(SHAPES) if rng.random() < 0.5 else lifted(rng) for h in sig.hedges})
+
+
+def random_structure(rng: random.Random, sig: HedgeSignature) -> Structure:
+    """Tables over the genformulas symbols with values on and off the chain
+    of tenths; sometimes a symbol is missing, a table has a hole or a
+    function maps outside the domain."""
+    dom = tuple(f"d{i}" for i in range(1, rng.randint(1, 3) + 1))
+    q = rng.choice((10, 10, 3, 7, 12))
+
+    def val():
+        return F(rng.randint(0, q), q)
+
+    preds = {
+        "P": {(): val()},
+        "Q": {(): val()},
+        "R": {(d,): val() for d in dom},
+        "S": {k: val() for k in product(dom, repeat=2)},
+    }
+    funcs = {"f": {(d,): rng.choice(dom) for d in dom}, "g": {k: rng.choice(dom) for k in product(dom, repeat=2)}}
+    consts = {"u1": rng.choice(dom), "u2": rng.choice(dom)}
+    r = rng.random()
+    if r < 0.05:
+        del preds[rng.choice(sorted(preds))]
+    elif r < 0.1:
+        del funcs[rng.choice(sorted(funcs))]
+    elif r < 0.15:
+        del consts[rng.choice(sorted(consts))]
+    elif r < 0.2:
+        table = rng.choice((preds["R"], preds["S"], funcs["f"], funcs["g"]))
+        del table[rng.choice(sorted(table))]
+    elif r < 0.25:
+        table = rng.choice((funcs["f"], funcs["g"]))
+        table[rng.choice(sorted(table))] = "elsewhere"
+    model_sig = sig if rng.random() < 0.9 else rng.choice((SIG_H, SIG_DH, HedgeSignature()))
+    return Structure(dom, preds, funcs, consts, random_hedges(rng, model_sig))
+
+
+def sprinkle_constants(rng: random.Random, f: Formula) -> Formula:
+    """Mix in truth constants off every chain the tests use."""
+    c = TruthConst(rng.choice((F(1, 3), F(2, 7), F(5, 9))))
+    return rng.choice((f, Imp(c, f), Conj(f, c), Max(c, f)))
+
+
+@pytest.mark.parametrize("sig", [SIG_H, SIG_DH], ids=["h", "dh"])
+def test_eval_formula_agrees_with_reference(sig):
+    rng = random.Random(4099 if sig is SIG_H else 4111)
+    values = 0
+    errors = set()
+    for depth in (1, 2, 3, 4, 5):
+        for _ in range(300):
+            f = sprinkle_constants(rng, random_formula(rng, sig, depth))
+            s = random_structure(rng, sig)
+            names = list(s.domain) + ["elsewhere"] * (rng.random() < 0.05)
+            env = {x: rng.choice(names) for x in VARS if rng.random() < 0.8}
+            t = random_term(rng, 2)
+            assert outcome(eval_term, s, t, env) == outcome(reference_eval_term, s, t, env), (t, s, env)
+            for g in (f, expand(f)):
+                want = outcome(reference_eval_formula, s, g, env)
+                assert outcome(eval_formula, s, g, env) == want, (g, s, env)
+            if isinstance(want, tuple):
+                errors.add(" ".join(want[1].strip('"').split()[:2]))
+            else:
+                values += 1
+    assert values > 1000
+    assert errors >= {
+        "unbound variable",
+        "undeclared predicate",
+        "undeclared function",
+        "undeclared object",
+        "undeclared hedge",
+        "predicate table",
+        "function table",
+    }
+
+
+def test_eval_formula_agrees_with_reference_on_malformed_input():
+    sig = HedgeSignature(HedgeMode.H, ("s1",), ())
+    hedges = HedgeModel(sig, {"s1": PL_SQUARE})
+    rx = Pred("R", (Var("x"),))
+    structures = [
+        Structure((), {"R": {}}),
+        Structure(("d1", "d1", "d2"), {"R": {("d1",): F(1, 2), ("d2",): ZERO}}),
+        Structure(("d1", "d2"), {"R": {("d1",): F(3, 2), ("d2",): F(-1, 2)}}, hedges=hedges),
+        Structure(("d1", "d2"), {"R": {("d1",): ZERO, ("d2",): ONE, (): F(1, 3)}}),
+        Structure(("d1", "d2"), {"R": {("d1",): ZERO}}),
+    ]
+    formulas = [
+        Forall("x", rx),
+        Exists("x", rx),
+        Forall("x", HedgeApp("s1", rx)),
+        Forall("x", Imp(TruthConst(F(3, 2)), rx)),
+        Exists("x", Conj(TruthConst(F(-1, 2)), rx)),
+        Imp(Pred("R"), Forall("x", rx)),
+        Power(rx, 0),
+        Multiple(0, Pred("R")),
+    ]
+    for s in structures:
+        for f in formulas:
+            assert outcome(eval_formula, s, f, {"x": "d1"}) == outcome(reference_eval_formula, s, f, {"x": "d1"})
+
+
+def chain_lifted(rng: random.Random, k: int) -> HedgeFunction:
+    """The identity at the points of the chain of k, anything between them,
+    so the hedge axioms hold on the chain and hedges of off-chain values
+    leave it."""
+    q = rng.choice((3, 5, 8))
+    bps = [(F(i, k), F(i, k)) for i in range(k + 1)]
+    mids = [(F(2 * i + 1, 2 * k), F(rng.randint(0, q), q)) for i in range(k)]
+    return HedgeFunction(tuple(sorted(bps + rng.sample(mids, rng.randint(0, k)))))
+
+
+def closed(rng: random.Random, f: Formula) -> Formula:
+    for x in sorted(free_vars(f)):
+        f = rng.choice((Forall, Exists))(x, f)
+    return f
+
+
+GRADES = (ONE, F(4, 5), F(1, 2), F(7, 10), F(1, 3), F(5, 9), F(11, 20))
+
+
+def random_theories(seed: int, chains: tuple[int, ...], budget: int):
+    """Theories of 1-3 random closed axioms with grades on and off the
+    chain, and a goal, on each chain with max_domain 1 or 2, kept when the
+    enumeration has at most ``budget`` structures."""
+    rng = random.Random(seed)
+    for k in chains:
+        chain = MVChain(k)
+        kept = 0
+        while kept < 12:
+            sig = rng.choice((SIG_H, SIG_DH, HedgeSignature()))
+            if rng.random() < 0.1:
+                model = random_hedges(rng, sig)  # usually fails the hedge axioms
+            else:
+                model = HedgeModel(sig, {h: chain_lifted(rng, k) for h in sig.hedges})
+            axioms = [
+                (rng.choice(GRADES), closed(rng, sprinkle_constants(rng, random_formula(rng, sig, rng.randint(1, 3)))))
+                for _ in range(rng.randint(1, 3))
+            ]
+            goal = closed(rng, sprinkle_constants(rng, random_formula(rng, sig, rng.randint(1, 3))))
+            max_domain = rng.randint(1, 2)
+            theory = Theory.build(axioms, sig, model)
+            syms = collect_symbols([*theory.special_axioms, goal])
+            if count_structures(syms, chain, max_domain) <= budget:
+                kept += 1
+                yield theory, goal, chain, max_domain
+
+
+def test_sem_degree_agrees_with_reference():
+    seen = set()
+    # Degree 0 on one element, with a second domain size left to search.
+    stops = (parse_theory("1/2 : P\n"), parse_formula("forall x. R(x) & P"), MVChain(3), 2)
+    for theory, goal, chain, max_domain in [*random_theories(71, (1, 2, 3, 7, 10), 600), stops]:
+        got = sem_degree(theory, goal, chain, max_domain)
+        want = reference_sem_degree(theory, goal, chain, max_domain)
+        assert got.degree == want.degree, (theory, goal, chain, max_domain)
+        assert got.structures_checked == want.structures_checked
+        assert shape(got.witness) == shape(want.witness)
+        if want.witness is not None:
+            assert format_structure(got.witness) == format_structure(want.witness)
+        syms = collect_symbols([*theory.special_axioms, goal])
+        seen.add(("degree", want.degree not in chain))
+        seen.add(("witness", want.witness is not None))
+        seen.add(("stopped early", want.structures_checked < count_structures(syms, chain, max_domain)))
+        seen.add(("stopped below max_domain", want.degree == 0 and len(want.witness.domain) < max_domain))
+        seen.add(("funcs", bool(syms.funcs)))
+        seen.add(("consts", bool(syms.consts)))
+        seen.add(("hedges", bool(theory.signature.hedges)))
+    assert all((kind, flag) in seen for kind, _ in seen for flag in (True, False))
+
+
+def test_equivalence_lemma_and_enumeration_agree_with_reference():
+    for theory, goal, chain, max_domain in random_theories(72, (1, 2, 3, 7, 10), 300):
+        a = next(iter(theory.special_axioms))
+        model = theory.hedge_model
+        got = check_equivalence_lemma(a, goal, chain, max_domain, model)
+        want = reference_check_equivalence_lemma(a, goal, chain, max_domain, model)
+        assert (got.entailed, shape(got.witness)) == (want.entailed, shape(want.witness))
+        syms = collect_symbols([a, goal])
+        got_all = [shape(s) for s in enumerate_structures(syms, chain, max_domain, model)]
+        assert got_all == [shape(s) for s in reference_enumerate_structures(syms, chain, max_domain, model)]
+        assert len(got_all) == count_structures(syms, chain, max_domain) == reference_count_structures(
+            syms, chain, max_domain
+        )
+
+
+def counting_eval_hedge(monkeypatch) -> list[int]:
+    """Count the hedge evaluations the compiled formulas make."""
+    import fln.semantics
+
+    calls = [0]
+    original = fln.semantics.eval_hedge
+
+    def counted(f, a):
+        calls[0] += 1
+        return original(f, a)
+
+    monkeypatch.setattr(fln.semantics, "eval_hedge", counted)
+    return calls
+
+
+def test_deep_hedge_nesting_costs_one_evaluation_per_level(monkeypatch):
+    # Each pl-square level multiplies the denominator by up to 16, so 300
+    # levels over the chain of 60 need a denominator near 60·16^300.  A
+    # compiler that tabulated a hedge over its input denominator could never
+    # finish; this one evaluates each level once per distinct input.
+    calls = counting_eval_hedge(monkeypatch)
+    sig = HedgeSignature(HedgeMode.H, ("s1",), ())
+    model = HedgeModel(sig, {"s1": PL_SQUARE})
+    f = Pred("P")
+    for _ in range(300):
+        f = HedgeApp("s1", f)
+    for i in (0, 1, 17, 30, 59, 60):
+        s = Structure(("d1",), {"P": {(): F(i, 60)}}, hedges=model)
+        calls[0] = 0
+        value = eval_formula(s, f)
+        assert calls[0] <= 300
+        assert value == reference_eval_formula(s, f)
+    assert value == ONE
+
+
+def test_quantifiers_stop_once_the_value_is_decided(monkeypatch):
+    calls = counting_eval_hedge(monkeypatch)
+    sig = HedgeSignature(HedgeMode.H, ("s1",), ())
+    hedges = HedgeModel(sig, {"s1": IDENTITY})
+    body = HedgeApp("s1", Pred("R", (Var("x"),)))
+    s = Structure(("d1", "d2", "d3"), {"R": {("d1",): F(1, 2), ("d2",): ZERO, ("d3",): F(1, 5)}}, hedges=hedges)
+    assert eval_formula(s, Forall("x", body)) == ZERO
+    assert calls[0] == 2
+    calls[0] = 0
+    assert eval_formula(s, Exists("x", body)) == F(1, 2)
+    assert calls[0] == 3
+    t = Structure(("d1", "d2", "d3"), {"R": {("d1",): F(1, 2), ("d2",): ONE, ("d3",): F(1, 5)}}, hedges=hedges)
+    calls[0] = 0
+    assert eval_formula(t, Exists("x", body)) == ONE
+    assert calls[0] == 2
+    # A missing entry behind the deciding element still raises.
+    u = Structure(("d1", "d2"), {"R": {("d1",): ZERO}}, hedges=hedges)
+    with pytest.raises(EvalError, match=r"predicate table R has no entry for \('d2',\)"):
+        eval_formula(u, Forall("x", body))
