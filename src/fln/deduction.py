@@ -19,6 +19,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .mv import ONE, ZERO, as_truth, luk_and, luk_imp
 from .syntax import (
@@ -385,82 +386,124 @@ def saturate(theory: Theory, universe, budget: int = DEFAULT_BUDGET) -> Saturati
     order.  ``budget`` caps the number of full sweeps; if it runs out
     before a sweep makes no change, the result is flagged non-fixpoint.
     Every reported grade is a certified lower provability bound.
+
+    Each sweep visits the formulas that some rule concludes, in universe
+    order, and updates a grade in place as soon as it rises, so later
+    formulas of the same sweep see it.  A formula's candidates are its MP
+    edges (in the universe order of the implication), then LC, then G; the
+    first strictly best one wins.  Grades are integer numerators over one
+    denominator D, the lcm of the denominators of the initial grades and
+    the LC constants.  That set is closed under the rules (MP gives
+    a+b-D, LC gives min(D, D-c+b), G copies), so the arithmetic is exact,
+    and a ``Fraction`` is made only for a raised grade and for the result.
+    A (formula, grade) pair therefore has exactly one provenance object.
     """
     if budget < 1:
         raise ValueError("saturation budget must be >= 1")
+    index: dict[Formula, int] = {}
     univ: list[Formula] = []
-    seen: set[Formula] = set()
     for f in universe:
         ef = expand(f)
-        if ef not in seen:
-            seen.add(ef)
+        if ef not in index:
+            index[ef] = len(univ)
             univ.append(ef)
 
     sig = theory.signature
-    grades: dict[Formula, Fraction] = {}
-    prov: dict[Formula, ProvNode] = {}
+    start: list[Fraction] = []
+    prov: list[ProvNode] = []
     for f in univ:
         sax = theory.special_axioms.get(f, ZERO)
         lg, m = lax_grade(f, sig)
         if m is not None and lg >= sax:
-            grades[f] = lg
-            prov[f] = ProvLeaf(f, lg, "lax", m.schema)
+            start.append(lg)
+            prov.append(ProvLeaf(f, lg, "lax", m.schema))
         else:
-            grades[f] = sax
-            prov[f] = ProvLeaf(f, sax, "sax")
+            start.append(sax)
+            prov.append(ProvLeaf(f, sax, "sax"))
 
-    mp_edges: dict[Formula, list[tuple[Formula, Formula]]] = {}
-    lc_edges: dict[Formula, Fraction] = {}
-    gen_edges: dict[Formula, tuple[str, Formula]] = {}
-    for g in univ:
+    # Rule edges by conclusion index: MP as (minor, major), LC as
+    # (constant, body), G as (variable, body).
+    mp_edges: dict[int, list[tuple[int, int]]] = {}
+    lc_edges: dict[int, tuple[Fraction, int]] = {}
+    gen_edges: dict[int, tuple[str, int]] = {}
+    for i, g in enumerate(univ):
         if isinstance(g, Imp):
-            if g.left in seen and g.right in seen:
-                mp_edges.setdefault(g.right, []).append((g.left, g))
-            if isinstance(g.left, TruthConst) and g.right in seen:
-                lc_edges[g] = g.left.value
-        elif isinstance(g, Forall) and g.body in seen:
-            gen_edges[g] = (g.var, g.body)
+            right = index.get(g.right)
+            if right is None:
+                continue
+            left = index.get(g.left)
+            if left is not None:
+                mp_edges.setdefault(right, []).append((left, i))
+            if isinstance(g.left, TruthConst):
+                lc_edges[i] = (g.left.value, right)
+        elif isinstance(g, Forall):
+            body = index.get(g.body)
+            if body is not None:
+                gen_edges[i] = (g.var, body)
+    den = lcm(*(v.denominator for v in start), *(c.denominator for c, _ in lc_edges.values()))
+    grades = [v.numerator * (den // v.denominator) for v in start]
+    # (i, MP edges, LC as (constant, D minus its numerator, body) or None,
+    # G or None) for every formula i that some rule concludes, in order.
+    rules = []
+    for i in sorted(mp_edges.keys() | lc_edges.keys() | gen_edges.keys()):
+        lc = lc_edges.get(i)
+        if lc is not None:
+            c, body = lc
+            lc = (c, den - c.numerator * (den // c.denominator), body)
+        rules.append((i, mp_edges.get(i, ()), lc, gen_edges.get(i)))
 
     fixpoint = False
     rounds = 0
     while rounds < budget:
         rounds += 1
         changed = False
-        for f in univ:
-            best = grades[f]
+        for i, mps, lc, gen in rules:
+            best = grades[i]
             action = None
-            for a, ab in mp_edges.get(f, ()):
-                cand = luk_and(grades[a], grades[ab])
+            for a, ab in mps:
+                # max(0, a + b - D); a raise is never to 0, so no clamp
+                cand = grades[a] + grades[ab] - den
                 if cand > best:
                     best, action = cand, (RULE_MP, None, (a, ab))
-            if f in lc_edges:
-                cand = luk_imp(lc_edges[f], grades[f.right])  # type: ignore[union-attr]
+            if lc is not None:
+                c, top, body = lc
+                cand = top + grades[body]
+                if cand > den:
+                    cand = den
                 if cand > best:
-                    best, action = cand, (RULE_LC, lc_edges[f], (f.right,))  # type: ignore[union-attr]
-            if f in gen_edges:
-                x, body = gen_edges[f]
+                    best, action = cand, (RULE_LC, c, (body,))
+            if gen is not None:
+                x, body = gen
                 cand = grades[body]
                 if cand > best:
                     best, action = cand, (RULE_G, x, (body,))
             if action is not None:
-                rule, param, prem_fs = action
-                grades[f] = best
-                prov[f] = ProvRule(f, best, rule, param, tuple(prov[p] for p in prem_fs))
+                rule, param, prems = action
+                grades[i] = best
+                prov[i] = ProvRule(univ[i], Fraction(best, den), rule, param, tuple(prov[p] for p in prems))
                 changed = True
         if not changed:
             fixpoint = True
             break
-    return SaturationResult(grades, prov, fixpoint, rounds)
+    final = {f: p.grade for f, p in zip(univ, prov)}
+    return SaturationResult(final, dict(zip(univ, prov)), fixpoint, rounds)
 
 
 def extract_proof(node: ProvNode) -> Proof:
-    """Linearize a provenance DAG into a checkable proof, sharing repeats."""
+    """Linearize a provenance DAG into a checkable proof.
+
+    A provenance object reached twice becomes one step that later steps
+    refer to: repeats are shared by identity, which is safe because
+    :func:`saturate` makes exactly one provenance object per (formula,
+    grade).  Looking nodes up by their structural hash instead would walk
+    the DAG as a tree, exponential in the depth of shared premises.
+    """
     steps: list[ProofStep] = []
-    index: dict[ProvNode, int] = {}
+    index: dict[int, int] = {}
 
     def emit(n: ProvNode) -> int:
-        if n in index:
-            return index[n]
+        if id(n) in index:
+            return index[id(n)]
         if isinstance(n, ProvRule):
             prem_idx = tuple(emit(c) for c in n.premises)
             just: Justification = RuleApp(n.rule, prem_idx, n.param)
@@ -469,8 +512,8 @@ def extract_proof(node: ProvNode) -> Proof:
         else:
             just = SaxLeaf()
         steps.append(ProofStep(EvaluatedFormula(n.grade, n.formula), just))
-        index[n] = len(steps) - 1
-        return index[n]
+        index[id(n)] = len(steps) - 1
+        return index[id(n)]
 
     emit(node)
     return Proof(tuple(steps))
@@ -545,17 +588,21 @@ def detect_contradiction(
         univ.append(FALSUM)
     res = saturate(theory, univ, budget)
 
-    rest = [f for f in univ if f not in theory.special_axioms]
-    rest.sort(key=lambda f: (isinstance(f, TruthConst), format_formula(f)))
-    for f in list(theory.special_axioms) + rest:
-        nf = expanded_not(f)
-        neg_grade = res.grades.get(nf)
-        if neg_grade is None:
-            continue
-        degree = luk_and(res.grades[f], neg_grade)
-        if degree > ZERO:
-            witness = ContradictionWitness(
-                f, degree, extract_proof(res.provenance[f]), extract_proof(res.provenance[nf])
-            )
-            return ConsistencyResult(witness, res.fixpoint)
-    return ConsistencyResult(None, res.fixpoint)
+    def degree(f: Formula) -> Fraction:
+        neg_grade = res.grades.get(expanded_not(f))
+        return ZERO if neg_grade is None else luk_and(res.grades[f], neg_grade)
+
+    # Distinct formulas print differently, so the minimum by the text key
+    # is the first witness of the sorted scan, and only positive formulas
+    # need printing.
+    f = next((f for f in theory.special_axioms if degree(f) > ZERO), None)
+    if f is None:
+        rest = [f for f in univ if f not in theory.special_axioms and degree(f) > ZERO]
+        if not rest:
+            return ConsistencyResult(None, res.fixpoint)
+        f = min(rest, key=lambda f: (isinstance(f, TruthConst), format_formula(f)))
+    nf = expanded_not(f)
+    witness = ContradictionWitness(
+        f, degree(f), extract_proof(res.provenance[f]), extract_proof(res.provenance[nf])
+    )
+    return ConsistencyResult(witness, res.fixpoint)

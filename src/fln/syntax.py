@@ -64,23 +64,55 @@ class HedgeSignature:
 
 
 # ---------------------------------------------------------------------------
+# Nodes.  Every term and formula kind is a frozen slotted dataclass under
+# one base class whose only slot caches the structural hash.
+
+
+class Node:
+    """Base of the term and formula nodes.
+
+    The hash equals the one a frozen dataclass would compute from the
+    fields, but it is computed on the first ``hash`` call and kept in the
+    slot ``_h``, so hashing a deep formula again costs nothing.  It is not
+    filled at construction, so building a node never hashes its fields.
+    """
+
+    __slots__ = ("_h",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._h
+        except AttributeError:
+            h = hash(tuple([getattr(self, n) for n in self.__match_args__]))
+            object.__setattr__(self, "_h", h)
+            return h
+
+
+def _node(cls: type) -> type:
+    """``cls`` as a frozen slotted dataclass that keeps :class:`Node`'s hash."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Node.__hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+@_node
+class Const(Node):
     """Object constant; written ``'name`` in concrete syntax."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Apply:
+@_node
+class Apply(Node):
     func: str
     args: tuple["Term", ...]
 
@@ -92,94 +124,94 @@ Term = Var | Const | Apply
 # Formulas.  The first five are the core; the rest are sugar.
 
 
-@dataclass(frozen=True)
-class TruthConst:
+@_node
+class TruthConst(Node):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Pred:
+@_node
+class Pred(Node):
     name: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
-class Imp:
+@_node
+class Imp(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class HedgeApp:
+@_node
+class HedgeApp(Node):
     hedge: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Neg:
+@_node
+class Neg(Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Conj:
+@_node
+class Conj(Node):
     """Strong conjunction, written ``&``."""
 
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Disj:
+@_node
+class Disj(Node):
     """Strong disjunction, written ``+``."""
 
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Min:
+@_node
+class Min(Node):
     """Lattice conjunction, written ``/\\``."""
 
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Max:
+@_node
+class Max(Node):
     """Lattice disjunction, written ``\\/``."""
 
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+@_node
+class Iff(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Power:
+@_node
+class Power(Node):
     """n-fold strong conjunction of the body, written ``A^n``."""
 
     body: "Formula"
     count: int
 
 
-@dataclass(frozen=True)
-class Multiple:
+@_node
+class Multiple(Node):
     """n-fold strong disjunction of the body, written ``n*A``."""
 
     count: int
@@ -531,8 +563,13 @@ def subformula_universe(
     ordered: dict[Formula, None] = {}
 
     def add_closed(f: Formula) -> None:
-        for g in subformulas(f):
-            ordered.setdefault(g, None)
+        # ``ordered`` is subformula-closed, so a node already in it brings
+        # nothing new; the order is that of :func:`subformulas`.
+        if f in ordered:
+            return
+        ordered[f] = None
+        for g in children(f):
+            add_closed(g)
 
     for f in seed:
         add_closed(expand(f))

@@ -1,22 +1,31 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from fln.deduction import (
+    DEFAULT_BUDGET,
+    DEFAULT_DEPTH,
+    RULE_G,
+    RULE_LC,
+    RULE_MP,
+    ConsistencyResult,
+    ContradictionWitness,
     EvaluatedFormula,
     LaxLeaf,
     Proof,
     ProofCheckError,
     ProofStep,
-    RULE_G,
-    RULE_LC,
-    RULE_MP,
+    ProvLeaf,
+    ProvNode,
+    ProvRule,
     RuleApp,
     RuleApplicationError,
+    SaturationResult,
     SaxLeaf,
     apply_rule,
     check_proof,
@@ -29,7 +38,7 @@ from fln.deduction import (
     saturate,
 )
 from fln.mv import MVChain, ONE, ZERO, chain_values, luk_and, luk_imp
-from fln.parser import parse_formula, parse_theory
+from fln.parser import format_proof, parse_formula, parse_theory
 from fln.syntax import (
     FALSUM,
     Apply,
@@ -41,6 +50,7 @@ from fln.syntax import (
     HedgeSignature,
     Iff,
     Imp,
+    Neg,
     NotSubstitutableError,
     Pred,
     Term,
@@ -48,9 +58,12 @@ from fln.syntax import (
     Var,
     expand,
     expanded_not,
+    format_formula,
     free_vars,
     subformula_universe,
+    subformulas,
     substitute,
+    truth_constants_in,
 )
 from fln.theory import Theory
 from genformulas import random_formula
@@ -376,6 +389,17 @@ def test_saturate_budget_exhaustion_flagged():
     assert done.fixpoint and done.grades[r] == ONE
 
 
+def test_saturate_lc_constant_outside_the_universe():
+    # #1/3 itself is not in the universe, so only the LC edge brings the
+    # denominator 3: 1/3 => 1/4 = 11/12.
+    theory = parse_theory("1/4 : P\n")
+    p = Pred("P")
+    goal = Imp(TruthConst(F(1, 3)), p)
+    res = saturate(theory, [p, goal])
+    assert res.grades[goal] == F(11, 12)
+    assert check_proof(extract_proof(res.provenance[goal]), theory) == F(11, 12)
+
+
 # ---------------------------------------------------------------------------
 # Provability bounds
 
@@ -415,6 +439,20 @@ def test_provability_witness_checks_out_on_random_theories():
         goal = rng.choice(atoms)
         res = provability_lower_bound(theory, goal, depth=1, budget=50)
         assert check_proof(res.proof, theory) == res.bound
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_extract_proof_shares_repeated_premises(n):
+    # Every A{i+1} uses A{i} twice, so a proof unfolded as a tree would
+    # double in size at each link.
+    text = "1 : A0\n" + "".join(f"1 : A{i} -> (A{i} -> A{i + 1})\n" for i in range(n))
+    theory = parse_theory(text)
+    start = time.perf_counter()
+    res = provability_lower_bound(theory, Pred(f"A{n}"))
+    assert time.perf_counter() - start < 10
+    assert res.bound == ONE
+    assert len(res.proof.steps) == 3 * n + 1  # A0, then each link's axiom and two MP steps
+    assert check_proof(res.proof, theory) == ONE
 
 
 # ---------------------------------------------------------------------------
@@ -837,3 +875,250 @@ def test_schema_templates_agree_with_reference_matchers(sig):
     expected |= {s_chain, s_top} if sig.stressers else set()
     expected |= {d_chain, last} if sig.depressers else set()
     assert matched == expected
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: saturation on Fraction grades, the universe built from
+# whole subformula lists and the eagerly formatted witness scan, copied
+# verbatim from before grades became integer numerators; the public names
+# are renamed reference_*.
+
+
+def reference_subformula_universe(
+    seed: "list[Formula] | set[Formula] | tuple[Formula, ...]",
+    consts: "set[Fraction] | frozenset[Fraction] | tuple[Fraction, ...]" = (),
+    depth: int = 0,
+) -> list[Formula]:
+    """Finite formula universe: the subformula closure of the expanded seed,
+    grown ``depth`` times by the constant-implications ``#a -> A`` and the
+    generalizations ``forall x. A`` for free x.
+
+    Returns an insertion-ordered duplicate-free list so downstream
+    processing is deterministic.
+    """
+    if depth < 0:
+        raise ValueError("universe depth must be >= 0")
+    ordered: dict[Formula, None] = {}
+
+    def add_closed(f: Formula) -> None:
+        for g in subformulas(f):
+            ordered.setdefault(g, None)
+
+    for f in seed:
+        add_closed(expand(f))
+    const_list = sorted(set(consts))
+    for _ in range(depth):
+        current = list(ordered)
+        for f in current:
+            for a in const_list:
+                add_closed(Imp(TruthConst(a), f))
+            for x in sorted(free_vars(f)):
+                add_closed(Forall(x, f))
+    return list(ordered)
+
+
+
+def reference_saturate(theory: Theory, universe, budget: int = DEFAULT_BUDGET) -> SaturationResult:
+    """Raise grades over a finite universe to a least fixpoint of the rules.
+
+    Grades start from max(SAx, LAx) and only ever increase; the merge is a
+    per-formula maximum, so the fixpoint does not depend on the processing
+    order.  ``budget`` caps the number of full sweeps; if it runs out
+    before a sweep makes no change, the result is flagged non-fixpoint.
+    Every reported grade is a certified lower provability bound.
+    """
+    if budget < 1:
+        raise ValueError("saturation budget must be >= 1")
+    univ: list[Formula] = []
+    seen: set[Formula] = set()
+    for f in universe:
+        ef = expand(f)
+        if ef not in seen:
+            seen.add(ef)
+            univ.append(ef)
+
+    sig = theory.signature
+    grades: dict[Formula, Fraction] = {}
+    prov: dict[Formula, ProvNode] = {}
+    for f in univ:
+        sax = theory.special_axioms.get(f, ZERO)
+        lg, m = lax_grade(f, sig)
+        if m is not None and lg >= sax:
+            grades[f] = lg
+            prov[f] = ProvLeaf(f, lg, "lax", m.schema)
+        else:
+            grades[f] = sax
+            prov[f] = ProvLeaf(f, sax, "sax")
+
+    mp_edges: dict[Formula, list[tuple[Formula, Formula]]] = {}
+    lc_edges: dict[Formula, Fraction] = {}
+    gen_edges: dict[Formula, tuple[str, Formula]] = {}
+    for g in univ:
+        if isinstance(g, Imp):
+            if g.left in seen and g.right in seen:
+                mp_edges.setdefault(g.right, []).append((g.left, g))
+            if isinstance(g.left, TruthConst) and g.right in seen:
+                lc_edges[g] = g.left.value
+        elif isinstance(g, Forall) and g.body in seen:
+            gen_edges[g] = (g.var, g.body)
+
+    fixpoint = False
+    rounds = 0
+    while rounds < budget:
+        rounds += 1
+        changed = False
+        for f in univ:
+            best = grades[f]
+            action = None
+            for a, ab in mp_edges.get(f, ()):
+                cand = luk_and(grades[a], grades[ab])
+                if cand > best:
+                    best, action = cand, (RULE_MP, None, (a, ab))
+            if f in lc_edges:
+                cand = luk_imp(lc_edges[f], grades[f.right])  # type: ignore[union-attr]
+                if cand > best:
+                    best, action = cand, (RULE_LC, lc_edges[f], (f.right,))  # type: ignore[union-attr]
+            if f in gen_edges:
+                x, body = gen_edges[f]
+                cand = grades[body]
+                if cand > best:
+                    best, action = cand, (RULE_G, x, (body,))
+            if action is not None:
+                rule, param, prem_fs = action
+                grades[f] = best
+                prov[f] = ProvRule(f, best, rule, param, tuple(prov[p] for p in prem_fs))
+                changed = True
+        if not changed:
+            fixpoint = True
+            break
+    return SaturationResult(grades, prov, fixpoint, rounds)
+
+
+
+def reference_detect_contradiction(
+    theory: Theory, depth: int = DEFAULT_DEPTH, budget: int = DEFAULT_BUDGET
+) -> ConsistencyResult:
+    """Search the universe for A with bound(A) ⊗ bound(~A) > 0.
+
+    The universe is the axiom universe closed under one application of
+    negation.  A miss certifies only universe-relative consistency.
+    Special-axiom formulas are scanned first (in declaration order), then
+    the rest in canonical text order with bare truth constants last, so the
+    reported witness is deterministic.
+    """
+    seed = list(theory.special_axioms)
+    base = reference_subformula_universe(seed, set(theory.grade_constants()), depth)
+    univ = list(base)
+    seen = set(univ)
+    for f in base:
+        nf = expanded_not(f)
+        if nf not in seen:
+            seen.add(nf)
+            univ.append(nf)
+    if FALSUM not in seen:
+        univ.append(FALSUM)
+    res = reference_saturate(theory, univ, budget)
+
+    rest = [f for f in univ if f not in theory.special_axioms]
+    rest.sort(key=lambda f: (isinstance(f, TruthConst), format_formula(f)))
+    for f in list(theory.special_axioms) + rest:
+        nf = expanded_not(f)
+        neg_grade = res.grades.get(nf)
+        if neg_grade is None:
+            continue
+        degree = luk_and(res.grades[f], neg_grade)
+        if degree > ZERO:
+            witness = ContradictionWitness(
+                f, degree, extract_proof(res.provenance[f]), extract_proof(res.provenance[nf])
+            )
+            return ConsistencyResult(witness, res.fixpoint)
+    return ConsistencyResult(None, res.fixpoint)
+
+
+OFF_CHAIN = (F(1), F(9, 10), F(19, 20), F(1, 3), F(2, 7), F(4, 5))
+
+
+def deduce_style_theories(rng: random.Random) -> list[tuple[Theory, list[Formula]]]:
+    """Small versions of the benchmark's deduction theories: a hedged chain
+    of implications, a quantified rule set over two objects, and a
+    propositional mix; each with its goals."""
+    out = []
+    steps = [rng.choice(("", "", "s1 ", "d1 ")) + f"P{i}" for i in range(5)]
+    chain = [f"{rng.choice(OFF_CHAIN)} : {steps[0]}"]
+    chain += [f"{rng.choice(OFF_CHAIN)} : {steps[i]} -> {steps[i + 1]}" for i in range(4)]
+    chain.reverse()
+    out.append((chain, [steps[4], steps[2]]))
+    rules = [f"{rng.choice(OFF_CHAIN)} : s1 Tall('u1)", f"{rng.choice(OFF_CHAIN)} : Rich('u2)"]
+    rules += [
+        f"{rng.choice(OFF_CHAIN)} : forall x. (s1 Tall(x) -> Kind(x))",
+        f"{rng.choice(OFF_CHAIN)} : forall x. (Rich(x) & Kind(x) -> d1 Calm(x))",
+        f"{rng.choice(OFF_CHAIN)} : Kind('u1) -> Rich('u1)",
+    ]
+    out.append((rules, ["Rich('u1)", "(forall x. (Rich(x) -> Kind(x))) -> Rich('u2) -> Kind('u2)"]))
+    props = [f"{rng.choice(OFF_CHAIN)} : {a}" for a in ("s1 P", "Q", "~(P & Q)", "P -> R", "R \\/ ~Q")]
+    out.append((props, ["R", "P /\\ Q"]))
+    # Two derived formulas contradict graded negations: the witness is the
+    # first of them in text order, not a special axiom.
+    clash = [f"{rng.choice(OFF_CHAIN)} : {a}" for a in ("P", "P -> s1 Q", "P -> R", "~s1 Q", "~R")]
+    out.append((clash, ["R"]))
+    header = "mode h\nstressers s1 s2\ndepressers d1\n"
+    return [(parse_theory(header + "\n".join(axioms) + "\n"), [parse_formula(g, SIG_H) for g in goals])
+            for axioms, goals in out]
+
+
+def random_theory(rng: random.Random, sig: HedgeSignature) -> tuple[Theory, list[Formula]]:
+    pairs = [(rng.choice(OFF_CHAIN + (F(1, 2),)), random_formula(rng, sig, rng.randint(0, 2)))
+             for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:  # an axiom and a graded negation of it make contradictions likely
+        _, f = rng.choice(pairs)
+        pairs.append((rng.choice(OFF_CHAIN), Neg(f)))
+    return Theory.build(pairs, sig), [random_formula(rng, sig, 1)]
+
+
+def _proofs(res) -> dict:
+    return {f: format_proof(extract_proof(p)) for f, p in res.provenance.items()}
+
+
+def _witness(res: ConsistencyResult):
+    w = res.witness
+    if w is None:
+        return None, res.fixpoint
+    return w.formula, w.degree, format_proof(w.proof_pos), format_proof(w.proof_neg), res.fixpoint
+
+
+def _agree(theory: Theory, universe: list[Formula], budget: int) -> None:
+    got, want = saturate(theory, universe, budget), reference_saturate(theory, universe, budget)
+    assert list(got.grades.items()) == list(want.grades.items())
+    assert (got.rounds, got.fixpoint) == (want.rounds, want.fixpoint)
+    assert _proofs(got) == _proofs(want)
+
+
+def _oracle_cases(depth: int):
+    rng = random.Random(2016 + depth)
+    randoms = 5 if depth < 2 else 2  # depth 2 universes are about five times larger
+    cases = deduce_style_theories(rng)
+    for sig in (SIG_H, SIG_DH):
+        cases += [random_theory(rng, sig) for _ in range(randoms)]
+    return cases
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_saturation_agrees_with_reference(depth):
+    rng = random.Random(depth)
+    witnesses = from_rest = 0
+    for theory, goals in _oracle_cases(depth):
+        seed = list(theory.special_axioms) + [expand(g) for g in goals]
+        consts = set(theory.grade_constants()) | {c for g in goals for c in truth_constants_in(g)}
+        universe = subformula_universe(seed, consts, depth)
+        assert universe == reference_subformula_universe(seed, consts, depth)
+        # A sample is not subformula-closed: an LC constant may be missing.
+        sample = rng.sample(universe, len(universe) // 2)
+        for budget in (1, 2, 3, DEFAULT_BUDGET):
+            _agree(theory, universe, budget)
+            _agree(theory, sample, budget)
+            got = detect_contradiction(theory, depth, budget)
+            assert _witness(got) == _witness(reference_detect_contradiction(theory, depth, budget))
+            if got.witness is not None:
+                witnesses += 1
+                from_rest += got.witness.formula not in theory.special_axioms
+    assert witnesses > 0 and from_rest > 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fln.parser import parse_formula
 from fln.syntax import (
     NODE_FIELDS,
     Apply,
@@ -213,6 +214,41 @@ def test_rebuild_replaces_only_the_subformulas():
     assert rebuild(Forall("x", P_X), [P]) == Forall("x", P)
     assert rebuild(HedgeApp("s1", P), [Q]) == HedgeApp("s1", Q)
     assert children(Iff(P, Q)) == (P, Q) and children(P_X) == ()
+
+
+def _nodes(node) -> list:
+    """``node`` and every formula and term node below it, outermost first."""
+    out = [node]
+    for name in NODE_FIELDS[node.__class__]:
+        value = getattr(node, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v.__class__ in NODE_FIELDS:
+                out += _nodes(v)
+    return out
+
+
+def test_node_hash_is_structural_and_survives_replace():
+    rng = random.Random(23)
+    for sig in (SIG_H, SIG_DH):
+        for _ in range(150):
+            f, g = random_formula(rng, sig, depth=4), random_formula(rng, sig, depth=4)
+            text = format_formula(f)
+            a, b = parse_formula(text, sig), parse_formula(text, sig)
+            assert a is not b and a == b and hash(a) == hash(b) == hash(f)
+            donors = {}
+            for node in _nodes(g):
+                donors.setdefault(node.__class__, node)
+            for node in _nodes(a):
+                assert not hasattr(node, "__dict__")
+                cls, names = node.__class__, NODE_FIELDS[node.__class__]
+                # the hash a frozen dataclass computes from its fields
+                assert hash(node) == hash(tuple(getattr(node, n) for n in names))
+                donor = donors.get(cls, node)
+                name = rng.choice(names)
+                changed = replace(node, **{name: getattr(donor, name)})
+                fresh = cls(*(getattr(donor if n == name else node, n) for n in names))
+                assert changed == fresh and hash(changed) == hash(fresh)
+                assert replace(node) == node and hash(replace(node)) == hash(node)
 
 
 def test_expand_of_a_core_formula_is_the_same_object():
