@@ -1,15 +1,18 @@
 """Batch command-line front end.
 
 Exit codes are a stable contract: 0 pass, 1 semantic violation or
-contradiction or invalid proof, 2 parse/input error, 3 budget exhaustion,
-4 search-space guard exceeded.  With ``--format tsv`` each command emits
-exactly one tab-separated record per result; identical inputs give
-byte-identical output.
+contradiction or invalid proof, 2 parse/input error (also input nested too
+deeply, and any other exception, reported as the single stderr line
+``error: internal error: <type>: <message>`` instead of a traceback),
+3 budget exhaustion, 4 search-space guard exceeded.  With ``--format tsv``
+each command emits exactly one tab-separated record per result; identical
+inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -280,7 +283,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-sugar", action="store_true", dest="no_sugar", help="print expanded core forms")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The ``fln`` parser, built on the first call and shared by every later
+    one, so repeated ``main`` calls in one process do not rebuild it.
+    Reuse is safe: ``prog`` is fixed, ``parse_args`` returns a new namespace
+    each time, no option has a mutable default or an ``append`` action, and
+    help text is formatted (and ``COLUMNS`` read) when it is printed."""
     top = argparse.ArgumentParser(prog="fln", description=__doc__)
     subs = top.add_subparsers(dest="command", required=True)
 
@@ -340,6 +349,9 @@ def main(argv: "list[str] | None" = None, out=None) -> int:
         return EXIT_PARSE
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_PARSE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -1,10 +1,15 @@
 import io
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fln.cli import main
+from fln import cli
+from fln.cli import build_arg_parser, main
 from fln.parser import parse_formula, parse_proof, parse_structure
 from fln.semantics import eval_formula
 
@@ -24,6 +29,25 @@ def run(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def run_captured(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call, counting
+    argparse's own exits (help, usage errors)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of ``python -m fln ARGV`` in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    p = subprocess.run([sys.executable, "-m", "fln", *argv], capture_output=True, text=True, env=env, timeout=60)
+    return p.returncode, p.stdout, p.stderr
 
 
 def test_parse_canonical(tmp_path):
@@ -319,3 +343,73 @@ def test_huge_power_goal_is_evaluated_without_expansion(tmp_path):
     assert run("sem-degree", "--theory", str(theory), "--goal", "1000*Q", "--format", "tsv") == (0, "sem-degree\t1\n")
     assert run("sem-degree", "--theory", str(theory), "--goal", "Q^5", "--format", "tsv") == (0, "sem-degree\t1/2\n")
     assert time.perf_counter() - start < 5
+
+
+def test_reused_parser_matches_a_fresh_process(tmp_path, capsys):
+    # Each option is set on one call and left out on the next; a value kept
+    # from the earlier parse would show where the two outputs differ.
+    theory = tmp_path / "t.fln"
+    theory.write_text("4/5 : P\n3/5 : P -> Q\n7/10 : ~Q\n")
+    hedges = tmp_path / "h.fln"
+    hedges.write_text("mode dh\nstressers s1\ndepressers d1\n")
+    t, h = str(theory), str(hedges)
+    sequence = [
+        ("parse", "--no-sugar", "~P('u)"),
+        ("parse", "~P('u)"),
+        ("prove", "--theory", t, "--goal", "P & Q", "--depth", "2"),
+        ("prove", "--theory", t, "--goal", "P & Q"),
+        ("prove", "--theory", t, "--goal", "P & Q", "--depth", "0"),
+        ("prove", "--theory", t, "--goal", "P & Q"),
+        ("sem-degree", "--theory", t, "--goal", "Q", "--format", "tsv"),
+        ("sem-degree", "--theory", t, "--goal", "Q"),
+        ("boundaries", "--hedges", h, "--chain", "6"),
+        ("boundaries", "--hedges", h),
+    ]
+    build_arg_parser.cache_clear()
+    results = [run_captured(capsys, argv) for argv in sequence]
+    assert build_arg_parser() is build_arg_parser()
+    for argv, result in zip(sequence, results):
+        assert result == run_fresh(argv), argv
+    for i in (0, 4, 6, 8):
+        assert results[i][1] != results[i + 1][1], sequence[i]
+
+
+COMMANDS = (
+    "parse",
+    "prove",
+    "check-proof",
+    "eval",
+    "sem-degree",
+    "tautology",
+    "validate-hedges",
+    "consistency",
+    "boundaries",
+)
+
+
+def test_help_and_usage_errors_match_a_fresh_process(monkeypatch, capsys):
+    # Help and usage texts are formatted from the shared parser at print time;
+    # the first call (which builds it), a second call and a new process agree.
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = [("--help",), *((name, "--help") for name in COMMANDS)]
+    cases += [("frobnicate",), (), ("tautology", "--goal", "P", "--chain", "x")]
+    build_arg_parser.cache_clear()
+    for argv in cases:
+        first = code, out, err = run_captured(capsys, argv)
+        if code == 0:
+            assert out.startswith("usage: fln") and err == "", argv
+        else:
+            assert code == 2 and out == "" and err.startswith("usage: fln"), argv
+        assert run_captured(capsys, argv) == first, argv
+        assert run_fresh(argv) == first, argv
+
+
+def test_internal_error_is_one_stderr_line(monkeypatch, capsys):
+    def broken(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "tautology_degree", broken)
+    code, out, err = run_captured(capsys, ("tautology", "--goal", "P"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal error: ZeroDivisionError: division by zero\n"
