@@ -6,13 +6,15 @@ deeply, and any other exception, reported as the single stderr line
 ``error: internal error: <type>: <message>`` instead of a traceback),
 3 budget exhaustion, 4 search-space guard exceeded.  With ``--format tsv``
 each command emits exactly one tab-separated record per result; identical
-inputs give byte-identical output.
+inputs give byte-identical output.  Output the reader of stdout no longer
+takes (``fln ... | head``) is dropped silently; the exit code stays the same.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +27,6 @@ from .deduction import (
 from .hedges import HedgeModel, boundaries, validate_axioms, validate_shape
 from .mv import MVChain
 from .parser import (
-    FlnSyntaxError,
     format_proof,
     format_structure,
     load_signature,
@@ -36,8 +37,6 @@ from .parser import (
     parse_theory,
 )
 from .semantics import (
-    EvalError,
-    OpenFormulaError,
     SpaceGuardError,
     eval_formula,
     sem_degree,
@@ -58,7 +57,10 @@ class CliInputError(ValueError):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise CliInputError(str(exc)) from None
 
 
 def _load_theory(args) -> Theory:
@@ -326,25 +328,34 @@ def _check_config(args) -> None:
         raise CliInputError("--budget must be >= 1")
 
 
+def _quiet(op, *args) -> None:
+    """A write or flush of the process's stdout.  Once the reader of the pipe
+    has gone, the descriptor points at ``os.devnull``: the rest of the output
+    and the final flush vanish, and the command runs on to its exit code."""
+    try:
+        op(*args)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+class _Stdout:
+    """The process's stdout as a command's ``out``; see :func:`_quiet`."""
+
+    def write(self, text: str) -> None:
+        _quiet(sys.stdout.write, text)
+
+
 def main(argv: "list[str] | None" = None, out=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    out = out or sys.stdout
     try:
         _check_config(args)
-        return args.handler(args, out)
-    except FlnSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return args.handler(args, out or _Stdout())
     except SpaceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPACE
-    except (CliInputError, OpenFormulaError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except ValueError as exc:  # parse errors, CliInputError, OpenFormulaError, EvalError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RecursionError:
@@ -353,6 +364,9 @@ def main(argv: "list[str] | None" = None, out=None) -> int:
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if not out:
+            _quiet(sys.stdout.flush)
 
 
 if __name__ == "__main__":

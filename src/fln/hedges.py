@@ -6,12 +6,13 @@ Lipschitz constants and axiom instances at chain points can all be checked
 exactly.  Analytic shapes (Zadeh's square for *very*, a square-root-like
 curve for *slightly*) ship as piecewise-linear presets.
 
-Validation on a chain {0, 1/k, ..., 1} evaluates each declared hedge once
-per chain point (k+1 exact ``eval_hedge`` calls per hedge); every axiom
-instance is then read from these tables.  The monotonicity axiom H6/DH11
-is scanned over all pairs in exact integer arithmetic on a common
-denominator, and the scan is skipped when every adjacent step of the table
-lies in [0, 1/k], which already rules out any violation.
+Every hedge value comes from one integer kernel (:class:`HedgeKernel`),
+shared by :func:`eval_hedge`, chain validation and the compiled formulas
+of :mod:`fln.semantics`.  Validation on a chain {0, 1/k, ..., 1} tabulates
+each declared hedge once and compares integers, building a ``Fraction``
+only for a reported violation or envelope row; the pair scan of H6/DH11 is
+skipped when every adjacent step of a table lies in [0, 1/k], which
+already rules out any violation.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .mv import MVChain, ONE, ZERO, luk_imp, luk_neg
+from .mv import MVChain, ONE, ZERO
 from .syntax import HedgeMode, HedgeSignature
 
 
@@ -50,22 +50,47 @@ class HedgeFunction:
     def __call__(self, a: Fraction) -> Fraction:
         return eval_hedge(self, a)
 
-    @cached_property
-    def xs(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.breakpoints)
+
+class HedgeKernel:
+    """``f`` at the points i/d as integer numerators over one denominator.
+
+    On segment j, from (x_j, y_j) with slope s_j, f(i/d) has a denominator
+    dividing lcm(den y_j, lcm(d, den x_j)·den s_j), f(1) included; ``den``
+    is the lcm over the segments.  From its first point ceil(x_j·d) on,
+    den·f(i/d) = a_j + b_j·i with integers a_j = den·(y_j - x_j·s_j) and
+    b_j = den·s_j/d.
+    """
+
+    __slots__ = ("d", "den", "starts", "lines")
+
+    def __init__(self, f: HedgeFunction, d: int):
+        bps = [(Fraction(x), Fraction(y)) for x, y in f.breakpoints]
+        segments = [(x0, y0, (y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(bps, bps[1:])]
+        den = 1
+        for x0, y0, s in segments:
+            den = math.lcm(den, y0.denominator, math.lcm(d, x0.denominator) * s.denominator)
+        self.d, self.den = d, den
+        self.starts = [math.ceil(x0 * d) for x0, _, _ in segments]
+        self.lines = [(int(den * (y0 - x0 * s)), int(den * s / d)) for x0, y0, s in segments]
+
+    def at(self, i: int) -> int:
+        """den·f(i/d), for an integer 0 <= i <= d."""
+        a, b = self.lines[bisect_right(self.starts, i) - 1]
+        return a + b * i
+
+    def table(self) -> list[int]:
+        """den·f(i/d) for i = 0, 1, ..., d, segment by segment."""
+        ends = [*self.starts[1:], self.d + 1]
+        return [a + b * i for (a, b), lo, hi in zip(self.lines, self.starts, ends) for i in range(lo, hi)]
 
 
 def eval_hedge(f: HedgeFunction, a: Fraction) -> Fraction:
-    """Exact linear interpolation of ``f`` at ``a``."""
+    """Exact value of ``f`` at ``a``."""
     if a < ZERO or a > ONE:
         raise ValueError(f"hedge argument {a} outside [0, 1]")
-    bps = f.breakpoints
-    i = bisect_right(f.xs, a) - 1
-    x0, y0 = bps[i]
-    if a == x0:
-        return y0
-    x1, y1 = bps[i + 1]
-    return y0 + (a - x0) * (y1 - y0) / (x1 - x0)
+    a = Fraction(a)
+    kernel = HedgeKernel(f, a.denominator)
+    return Fraction(kernel.at(a.numerator), kernel.den)
 
 
 IDENTITY = HedgeFunction(((ZERO, ZERO), (ONE, ONE)))
@@ -196,14 +221,10 @@ def fitting_constant(f: HedgeFunction) -> int:
     """Smallest k such that (a ⇔ b)^k ≤ f(a) ⇔ f(b) on all of [0, 1].
 
     For a piecewise-linear function that is the ceiling of the maximum
-    absolute segment slope (and at least 1).
+    absolute segment slope (and at least 1), b_j/den in the kernel at d = 1.
     """
-    max_slope = ZERO
-    for (x0, y0), (x1, y1) in zip(f.breakpoints, f.breakpoints[1:]):
-        slope = abs((y1 - y0) / (x1 - x0))
-        if slope > max_slope:
-            max_slope = slope
-    return max(1, math.ceil(max_slope))
+    kernel = HedgeKernel(f, 1)
+    return max(1, -(-max(abs(b) for _, b in kernel.lines) // kernel.den))
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +237,24 @@ def _axiom_ids(mode: HedgeMode) -> dict[str, str]:
     return {"mono": "DH11", "schain": "DH12", "stop": "DH13", "dchain": "DH14", "dual": "DH15"}
 
 
-def _tabulate(model: HedgeModel, chain: MVChain) -> dict[str, tuple[Fraction, ...]]:
-    """Every declared hedge's values at the chain points, in chain order."""
-    values = chain.values()
-    return {
-        name: tuple(eval_hedge(model.function_for(name), a) for a in values)
-        for name in model.signature.hedges
-    }
+def _tabulate(model: HedgeModel, chain: MVChain) -> tuple[int, range, dict[str, list[int]]]:
+    """A denominator D = lcm(k, each hedge's den), and the chain points and
+    every declared hedge's values at them, in chain order, as numerators over D."""
+    k = chain.k
+    kernels = {name: HedgeKernel(model.function_for(name), k) for name in model.signature.hedges}
+    denom = math.lcm(k, *(kernel.den for kernel in kernels.values()))
+    tables = {name: [y * (denom // kernel.den) for y in kernel.table()] for name, kernel in kernels.items()}
+    return denom, range(0, denom + 1, denom // k), tables
 
 
-def _dual(table: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """¬s(¬x) at the chain points, from the table of s.
-
-    ¬x_i = 1 - i/k = (k-i)/k is the chain point x_{k-i}, so s(¬x_i) is the
-    mirrored entry of the table.
-    """
-    return tuple(luk_neg(y) for y in reversed(table))
+def _dual(table: list[int], denom: int) -> list[int]:
+    """¬s(¬x) at the chain points, from the table of s over ``denom``:
+    ¬x_i = 1 - i/k is the chain point x_{k-i}, so s(¬x_i) is the mirrored entry."""
+    return [denom - y for y in reversed(table)]
 
 
 def _monotonicity_violations(
-    check: str, hedge: str, table: tuple[Fraction, ...], chain: MVChain
+    check: str, hedge: str, nums: list[int], denom: int, chain: MVChain
 ) -> Iterator[Violation]:
     """Instances of (a ⇒ b) ⇒ (f(a) ⇒ f(b)) below 1, in row-major (a, b) order.
 
@@ -243,16 +262,12 @@ def _monotonicity_violations(
     F_i = D·f(x_i) are integers.  The instance at (x_i, x_j) equals
     1 - max(0, F_i - F_j - max(0, A_i - A_j))/D.
     """
-    k = chain.k
-    denom = math.lcm(k, *(y.denominator for y in table))
-    step = denom // k
-    nums = [y.numerator * (denom // y.denominator) for y in table]
+    step = denom // chain.k
     # Adjacent steps in [0, D/k] telescope: for i <= j, F_i - F_j <= 0, and
     # for i > j, F_i - F_j <= (i-j)·D/k = A_i - A_j, so no instance is below 1.
     if all(0 <= hi - lo <= step for lo, hi in zip(nums, nums[1:])):
         return
-    values = chain.values()
-    rows = list(zip(values, nums, range(0, denom + 1, step)))
+    rows = list(zip(chain.values(), nums, range(0, denom + 1, step)))
     for a, fa, aa in rows:
         for b, fb, ab in rows:
             gap = fa - fb
@@ -279,45 +294,31 @@ def axiom_violations(model: HedgeModel, chain: MVChain) -> Iterator[Violation]:
     sig = model.signature
     ids = _axiom_ids(sig.mode)
     values = chain.values()
-    table = _tabulate(model, chain)
+    denom, diagonal, table = _tabulate(model, chain)
+
+    def below(check: str, hedge: str, left, right, points=values) -> Iterator[Violation]:
+        """Instances l(x) ⇒ r(x) below 1: where l > r, 1 - (l - r)."""
+        for x, lx, rx in zip(points, left, right):
+            if lx > rx:
+                yield Violation(check, hedge, (x,), Fraction(denom - lx + rx, denom))
 
     for name in sig.hedges:
-        yield from _monotonicity_violations(ids["mono"], name, table[name], chain)
-
+        yield from _monotonicity_violations(ids["mono"], name, table[name], denom, chain)
     for i, name in enumerate(sig.stressers, start=1):
-        prev = values if i == 1 else table[sig.stressers[i - 2]]
-        for a, fa, pa in zip(values, table[name], prev):
-            v = luk_imp(fa, pa)
-            if v != ONE:
-                yield Violation(ids["schain"], name, (a,), v)
-
+        prev = diagonal if i == 1 else table[sig.stressers[i - 2]]
+        yield from below(ids["schain"], name, table[name], prev)
     if sig.stressers:
         top = sig.stressers[-1]
-        v = table[top][-1]
-        if v != ONE:
-            yield Violation(ids["stop"], top, (ONE,), v)
-
+        yield from below(ids["stop"], top, [denom], table[top][-1:], (ONE,))  # 1 ⇒ s_n(1)
     for j, name in enumerate(sig.depressers, start=1):
-        prev = values if j == 1 else table[sig.depressers[j - 2]]
-        for a, pa, fa in zip(values, prev, table[name]):
-            v = luk_imp(pa, fa)
-            if v != ONE:
-                yield Violation(ids["dchain"], name, (a,), v)
-
-    if sig.mode is HedgeMode.H:
-        if sig.depressers:
-            bottom = sig.depressers[-1]
-            v = luk_neg(table[bottom][0])
-            if v != ONE:
-                yield Violation(ids["dbot"], bottom, (ZERO,), v)
-    else:
+        prev = diagonal if j == 1 else table[sig.depressers[j - 2]]
+        yield from below(ids["dchain"], name, prev, table[name])
+    if sig.mode is HedgeMode.DH:
         for i, name in enumerate(sig.depressers, start=1):
-            upper = _dual(table[sig.stressers[i - 1]])
-            for a, da, ua in zip(values, table[name], upper):
-                v = luk_imp(da, ua)
-                if v != ONE:
-                    yield Violation(ids["dual"], name, (a,), v)
-
+            yield from below(ids["dual"], name, table[name], _dual(table[sig.stressers[i - 1]], denom))
+    elif sig.depressers:
+        bottom = sig.depressers[-1]
+        yield from below(ids["dbot"], bottom, table[bottom][:1], [0], (ZERO,))  # d_n(0) ⇒ 0, i.e. ¬d_n(0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,26 +345,26 @@ def boundaries(model: HedgeModel, chain: MVChain) -> tuple[dict[str, tuple[Bound
     if sig.mode is not HedgeMode.DH:
         raise ValueError("boundary envelopes are defined for dual-hedge signatures only")
     values = chain.values()
-    table = _tabulate(model, chain)
+    denom, diagonal, table = _tabulate(model, chain)
     tables: dict[str, tuple[BoundaryRow, ...]] = {}
     vs: list[Violation] = []
     n = len(sig.stressers)
 
-    def envelope(name: str, lower, upper) -> None:
+    def envelope(name: str, lower: Sequence[int], upper: Sequence[int]) -> None:
         rows = []
         for x, lo, hi, y in zip(values, lower, upper, table[name]):
-            rows.append(BoundaryRow(x, lo, hi))
+            rows.append(BoundaryRow(x, Fraction(lo, denom), Fraction(hi, denom)))
             if y < lo:
-                vs.append(Violation("envelope-lower", name, (x,), y))
+                vs.append(Violation("envelope-lower", name, (x,), Fraction(y, denom)))
             if y > hi:
-                vs.append(Violation("envelope-upper", name, (x,), y))
+                vs.append(Violation("envelope-upper", name, (x,), Fraction(y, denom)))
         tables[name] = tuple(rows)
 
     for i, name in enumerate(sig.stressers, start=1):
-        lower = (ZERO,) * len(values) if i == n else table[sig.stressers[i]]
-        envelope(name, lower, values)
+        lower = [0] * len(values) if i == n else table[sig.stressers[i]]
+        envelope(name, lower, diagonal)
     for i, name in enumerate(sig.depressers, start=1):
-        lower = values if i == 1 else table[sig.depressers[i - 2]]
-        envelope(name, lower, _dual(table[sig.stressers[i - 1]]))
+        lower = diagonal if i == 1 else table[sig.depressers[i - 2]]
+        envelope(name, lower, _dual(table[sig.stressers[i - 1]], denom))
 
     return tables, ValidationReport(tuple(vs))

@@ -8,12 +8,11 @@ denominator (k for structures valued in the chain {0, 1/k, ..., 1}).
 :func:`_compile` turns a formula, once per layout, into a closure
 ``run(vals, env) -> int`` that returns the formula's value as a numerator
 over a denominator fixed at compile time.  Each node's denominator is the
-lcm of its children's, and a hedge maps its input denominator to one
-derived from its breakpoints, so truth constants and hedge values off the
-chain stay exact; the Łukasiewicz connectives are integer clamps.
-``Fraction`` appears only at the boundary (returned truth values and
-degrees, decoded structures) and in a hedge's first evaluation at each
-input, which the compiled hedge node then remembers.
+lcm of its children's, and a hedge node reads the integer kernel
+:class:`~fln.hedges.HedgeKernel` derived once for its input denominator,
+so truth constants and hedge values off the chain stay exact; the
+Łukasiewicz connectives are integer clamps.  ``Fraction`` appears only at
+the boundary (returned truth values and degrees, decoded structures).
 
 :func:`sem_degree`, :func:`tautology_degree` and
 :func:`check_equivalence_lemma` compile the axioms and the goal once per
@@ -34,7 +33,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .hedges import HedgeFunction, HedgeModel, ValidationReport, axiom_violations, eval_hedge, validate_axioms
+from .hedges import HedgeFunction, HedgeKernel, HedgeModel, ValidationReport, axiom_violations, eval_hedge
+from .hedges import validate_axioms
 from .mv import MVChain, ONE, ZERO
 from .mv import multiple as mv_multiple, power as mv_power
 from .syntax import (
@@ -274,21 +274,6 @@ def _scaled(run: Run, factor: int) -> Run:
     return lambda vals, env: run(vals, env) * factor
 
 
-def _hedge_den(fn: HedgeFunction, d: int) -> int:
-    """A common denominator of ``fn``'s values at the points i/d.
-
-    On the segment from (x0, y0) with slope s, fn(i/d) = y0 + (i/d - x0)·s,
-    whose denominator divides lcm(den y0, lcm(d, den x0)·den s).  The cost
-    is one step per breakpoint, whatever ``d`` is.
-    """
-    bps = fn.breakpoints
-    out = Fraction(bps[-1][1]).denominator
-    for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
-        slope = Fraction(y1 - y0) / (x1 - x0)
-        out = math.lcm(out, Fraction(y0).denominator, math.lcm(d, Fraction(x0).denominator) * slope.denominator)
-    return out
-
-
 class _Compiler:
     """Compiles formulas and terms for structures laid out by ``layout``.
 
@@ -489,18 +474,16 @@ class _Compiler:
         return exists, den
 
     def _hedge(self, fn: HedgeFunction, body: Run, d: int) -> tuple[Run, int]:
-        den = _hedge_den(fn, d)
-        memo: dict[int, int] = {}
+        kernel = HedgeKernel(fn, d)
+        at = kernel.at
 
         def run(vals, env):
             i = body(vals, env)
-            y = memo.get(i)
-            if y is None:
-                v = eval_hedge(fn, Fraction(i, d))
-                y = memo[i] = v.numerator * (den // v.denominator)
-            return y
+            if 0 <= i <= d:
+                return at(i)
+            return eval_hedge(fn, Fraction(i, d))  # raises: outside [0, 1]
 
-        return run, den
+        return run, kernel.den
 
     def _repeat(self, g: Power | Multiple, body: Run, den: int) -> tuple[Run, int]:
         n = g.count

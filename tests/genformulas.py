@@ -1,10 +1,12 @@
-"""Seeded random term/formula generators shared by the test modules.
+"""Seeded random term/formula generators, and the Fraction hedge oracle,
+shared by the test modules.
 
 Symbol arities are fixed (P/0, Q/0, R/1, S/2, f/1, g/2) so any generated
 formula parses back under the same implicit declarations.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from fln.syntax import (
@@ -105,3 +107,18 @@ def random_formula(rng: random.Random, signature: HedgeSignature = SIG_H, depth:
     if kind == "multiple":
         return Multiple(rng.randint(1, 3), sub())
     return random_atom(rng)
+
+
+def reference_eval_hedge(f, a: Fraction) -> Fraction:
+    """Exact linear interpolation of the hedge function ``f`` at ``a`` on
+    ``Fraction``s: the evaluator the integer hedge kernel replaced, kept as
+    an oracle that shares no code with it."""
+    if a < 0 or a > 1:
+        raise ValueError(f"hedge argument {a} outside [0, 1]")
+    bps = f.breakpoints
+    i = bisect_right(tuple(x for x, _ in bps), a) - 1
+    x0, y0 = bps[i]
+    if a == x0:
+        return y0
+    x1, y1 = bps[i + 1]
+    return y0 + (a - x0) * (y1 - y0) / (x1 - x0)

@@ -319,6 +319,51 @@ def test_missing_required_input(capsys):
     assert "--theory" in capsys.readouterr().err
 
 
+def test_unreadable_input_file_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.fln"
+    code, out, err = run_captured(capsys, ["prove", "--theory", str(missing), "--goal", "Q"])
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "command, lines, code",
+    [
+        # About 160 kB of violations, more than a pipe holds: the command is
+        # still printing when the reader goes away after the first line.
+        (["validate-hedges", "--hedges", "{hedges}", "--chain", "100"], 1, 1),
+        # A few lines and a reader gone before any: with a buffered stdout
+        # the closed pipe shows only at the final flush.
+        (["prove", "--theory", "{theory}", "--goal", "Q"], 0, 0),
+    ],
+)
+def test_closed_stdout_is_silent_and_keeps_the_exit_code(tmp_path, unbuffered, command, lines, code):
+    hedges = tmp_path / "h.fln"
+    hedges.write_text("mode dh\nstressers s1\ndepressers d1\ns1 = preset pl-square\nd1 = preset pl-sqrt\n")
+    theory = tmp_path / "t.fln"
+    theory.write_text(MP_THEORY)
+    argv = [a.format(hedges=hedges, theory=theory) for a in command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    p = subprocess.Popen(
+        [sys.executable, "-m", "fln", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        for _ in range(lines):
+            assert p.stdout.readline().strip()
+        p.stdout.close()
+        err = p.stderr.read()
+        got = p.wait(timeout=60)
+    finally:
+        p.kill()
+        p.stderr.close()
+    assert (got, err) == (code, "")
+
+
 def test_open_goal_rejected(tmp_path, capsys):
     theory = tmp_path / "t.fln"
     theory.write_text(MP_THEORY)

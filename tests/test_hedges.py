@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from fln.hedges import (
     BoundaryRow,
     HedgeFunction,
+    HedgeKernel,
     HedgeModel,
     IDENTITY,
     PL_SQRT,
@@ -23,6 +26,7 @@ from fln.mv import MVChain, ONE, ZERO, biresiduum, luk_imp, luk_neg, power
 from fln.semantics import sem_degree
 from fln.syntax import HedgeApp, HedgeMode, HedgeSignature, Pred
 from fln.theory import Theory
+from genformulas import reference_eval_hedge
 
 F = Fraction
 
@@ -54,10 +58,36 @@ def test_eval_at_breakpoints():
             assert eval_hedge(f, x) == y
 
 
+EXACTNESS_DENOMINATORS = (1, 2, 3, 7, 12, 60, 60 * 16**3)
+
+
 def test_eval_matches_oracle_on_chain():
-    for f in (PL_SQUARE, PL_SQRT):
-        for a in MVChain(40):
-            assert eval_hedge(f, a) == interpolate(f.breakpoints, a)
+    # The kernel's integer lines against the Fraction oracle at the points
+    # i/d: every point for small d, and for the large d both endpoints, the
+    # points at and next to each breakpoint and a random sample.
+    rng = random.Random(40)
+    funcs = [IDENTITY, PL_SQUARE, PL_SQRT, blend(PL_SQUARE, F(1, 3)), blend(PL_SQRT, F(2, 5))]
+    funcs += [random_lifted_pl(rng) for _ in range(20)]
+    for f in funcs:
+        for d in EXACTNESS_DENOMINATORS:
+            kernel = HedgeKernel(f, d)
+            table = kernel.table()
+            assert len(table) == d + 1
+            if d <= 60:
+                points = set(range(d + 1))
+            else:
+                near = {round(x * d) + step for x, _ in f.breakpoints for step in (-1, 0, 1)}
+                points = {i for i in near if 0 <= i <= d} | {rng.randrange(d + 1) for _ in range(40)}
+            for i in sorted(points):
+                want = interpolate(f.breakpoints, F(i, d))
+                assert eval_hedge(f, F(i, d)) == want, (f, i, d)
+                assert F(kernel.at(i), kernel.den) == F(table[i], kernel.den) == want, (f, i, d)
+        for x, y in f.breakpoints:
+            assert eval_hedge(f, x) == y
+        assert (eval_hedge(f, 0), eval_hedge(f, 1)) == (f.breakpoints[0][1], f.breakpoints[-1][1])
+        for bad in (F(-1, 2), F(3, 2)):
+            with pytest.raises(ValueError, match=re.escape(f"hedge argument {bad} outside [0, 1]")):
+                eval_hedge(f, bad)
 
 
 def test_breakpoint_validation():
@@ -67,6 +97,9 @@ def test_breakpoint_validation():
         HedgeFunction(((F(1, 4), F(0)), (F(1), F(1))))
     with pytest.raises(ValueError):
         HedgeFunction(((F(0), F(0)), (F(1), F(3, 2))))
+    f = HedgeFunction(PL_SQUARE.breakpoints)
+    assert f == PL_SQUARE and hash(f) == hash(PL_SQUARE)
+    assert f != PL_SQRT
 
 
 def test_validate_shape_identity_both_kinds():
@@ -91,11 +124,23 @@ def test_validate_shape_detects_broken_endpoints_and_monotonicity():
     assert "non-decreasing" in {v.check for v in validate_shape(g, "stresser").violations}
 
 
+def reference_fitting_constant(f: HedgeFunction) -> int:
+    max_slope = ZERO
+    for (x0, y0), (x1, y1) in zip(f.breakpoints, f.breakpoints[1:]):
+        slope = abs((y1 - y0) / (x1 - x0))
+        if slope > max_slope:
+            max_slope = slope
+    return max(1, math.ceil(max_slope))
+
+
 def test_fitting_constants():
     assert fitting_constant(IDENTITY) == 1
     assert fitting_constant(PL_SQUARE) == 2  # max slope 7/4 on [3/4, 1]
     steep = HedgeFunction(((ZERO, ZERO), (F(4, 5), ZERO), (ONE, ONE)))
     assert fitting_constant(steep) == 5
+    rng = random.Random(7)
+    for f in [random_lifted_pl(rng) for _ in range(300)]:
+        assert fitting_constant(f) == reference_fitting_constant(f), f
 
 
 def test_fitting_constant_is_sound_and_minimal_on_chain():
@@ -292,13 +337,23 @@ def test_machine_violation_line():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the pointwise Fraction pair loop the tabulated kernel replaced
+# Reference oracle: the pointwise Fraction pair loop the tabulated kernel
+# replaced, reading hedge values through the Fraction interpolation oracle
 
 
 def _reference_axiom_ids(mode: HedgeMode) -> dict[str, str]:
     if mode is HedgeMode.H:
         return {"mono": "H6", "schain": "H7", "stop": "H8", "dchain": "H9", "dbot": "H10"}
     return {"mono": "DH11", "schain": "DH12", "stop": "DH13", "dchain": "DH14", "dual": "DH15"}
+
+
+def reference_function(model: HedgeModel, name: str):
+    fn = model.function_for(name)
+    return lambda a: reference_eval_hedge(fn, a)
+
+
+def reference_identity(a: Fraction) -> Fraction:
+    return a
 
 
 def reference_validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationReport:
@@ -308,7 +363,7 @@ def reference_validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationRe
     vs: list[Violation] = []
 
     for name in sig.hedges:
-        f = model.function_for(name)
+        f = reference_function(model, name)
         for a in values:
             fa = f(a)
             for b in values:
@@ -317,8 +372,8 @@ def reference_validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationRe
                     vs.append(Violation(ids["mono"], name, (a, b), v))
 
     for i, name in enumerate(sig.stressers, start=1):
-        f = model.function_for(name)
-        prev = IDENTITY if i == 1 else model.function_for(sig.stressers[i - 2])
+        f = reference_function(model, name)
+        prev = reference_identity if i == 1 else reference_function(model, sig.stressers[i - 2])
         for a in values:
             v = luk_imp(f(a), prev(a))
             if v != ONE:
@@ -326,13 +381,13 @@ def reference_validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationRe
 
     if sig.stressers:
         top = sig.stressers[-1]
-        v = model.function_for(top)(ONE)
+        v = reference_function(model, top)(ONE)
         if v != ONE:
             vs.append(Violation(ids["stop"], top, (ONE,), v))
 
     for j, name in enumerate(sig.depressers, start=1):
-        f = model.function_for(name)
-        prev = IDENTITY if j == 1 else model.function_for(sig.depressers[j - 2])
+        f = reference_function(model, name)
+        prev = reference_identity if j == 1 else reference_function(model, sig.depressers[j - 2])
         for a in values:
             v = luk_imp(prev(a), f(a))
             if v != ONE:
@@ -341,13 +396,13 @@ def reference_validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationRe
     if sig.mode is HedgeMode.H:
         if sig.depressers:
             bottom = sig.depressers[-1]
-            v = luk_neg(model.function_for(bottom)(ZERO))
+            v = luk_neg(reference_function(model, bottom)(ZERO))
             if v != ONE:
                 vs.append(Violation(ids["dbot"], bottom, (ZERO,), v))
     else:
         for i, name in enumerate(sig.depressers, start=1):
-            d = model.function_for(name)
-            s = model.function_for(sig.stressers[i - 1])
+            d = reference_function(model, name)
+            s = reference_function(model, sig.stressers[i - 1])
             for a in values:
                 v = luk_imp(d(a), luk_neg(s(luk_neg(a))))
                 if v != ONE:
@@ -364,12 +419,12 @@ def reference_boundaries(model: HedgeModel, chain: MVChain):
     n = len(sig.stressers)
 
     def envelope(name, lo_at, hi_at):
-        f = model.function_for(name)
+        f = reference_function(model, name)
         rows = []
         for x in values:
             lo, hi = lo_at(x), hi_at(x)
             rows.append(BoundaryRow(x, lo, hi))
-            y = eval_hedge(f, x)
+            y = f(x)
             if y < lo:
                 vs.append(Violation("envelope-lower", name, (x,), y))
             if y > hi:
@@ -381,16 +436,16 @@ def reference_boundaries(model: HedgeModel, chain: MVChain):
         if i == n:
             envelope(name, lambda x: ZERO, lambda x: x)
         else:
-            stronger = model.function_for(sig.stressers[i])
+            stronger = reference_function(model, sig.stressers[i])
             envelope(name, stronger, lambda x: x)
     for i in range(1, n + 1):
         name = sig.depressers[i - 1]
-        s_i = model.function_for(sig.stressers[i - 1])
+        s_i = reference_function(model, sig.stressers[i - 1])
         upper = lambda x, s=s_i: luk_neg(s(luk_neg(x)))
         if i == 1:
             envelope(name, lambda x: x, upper)
         else:
-            weaker = model.function_for(sig.depressers[i - 2])
+            weaker = reference_function(model, sig.depressers[i - 2])
             envelope(name, weaker, upper)
 
     return tables, ValidationReport(tuple(vs))
@@ -451,26 +506,25 @@ def test_boundaries_match_pointwise_reference():
 
 
 def test_validate_axioms_tabulates_each_hedge_once(monkeypatch):
-    # A call-count guard, not a timing test: the kernel reads k+1 values per
-    # hedge and never evaluates a hedge per pair of chain points.  sem_degree
-    # only asks whether the model passes, so it stops at the first violation.
-    import fln.hedges
+    # A count guard, not a timing test: validation derives one integer kernel
+    # per declared hedge and never evaluates a hedge per chain point or per
+    # pair of points.  sem_degree only asks whether the model passes, so it
+    # stops at the first violation.
+    derived = 0
+    init = HedgeKernel.__init__
 
-    calls = 0
-    original = fln.hedges.eval_hedge
+    def counted(self, f, d):
+        nonlocal derived
+        derived += 1
+        init(self, f, d)
 
-    def counted(f, a):
-        nonlocal calls
-        calls += 1
-        return original(f, a)
-
-    monkeypatch.setattr(fln.hedges, "eval_hedge", counted)
+    monkeypatch.setattr(HedgeKernel, "__init__", counted)
     sig = HedgeSignature(HedgeMode.DH, ("s1",), ("d1",))
     model = HedgeModel(sig, {"s1": PL_SQUARE, "d1": PL_SQRT})
     k = 200
     report = validate_axioms(model, MVChain(k))
     assert not report.passed
-    assert calls <= (k + 1) * len(sig.hedges) + 2
+    assert derived <= len(sig.hedges)
 
     made = 0
 
@@ -479,19 +533,13 @@ def test_validate_axioms_tabulates_each_hedge_once(monkeypatch):
         made += 1
         return Violation(*args)
 
+    import fln.hedges
+
     monkeypatch.setattr(fln.hedges, "Violation", violation)
-    calls = 0
+    derived = 0
     theory = Theory(sig, {}, model)
     res = sem_degree(theory, HedgeApp("s1", Pred("P")), MVChain(k))
     assert (res.degree, res.witness, res.structures_checked) == (ONE, None, 0)
-    assert calls <= (k + 1) * len(sig.hedges) + 2
+    assert derived <= len(sig.hedges)
     assert made == 1
     assert len(report.violations) > 1000
-
-
-def test_xs_is_cached_and_outside_equality():
-    f = HedgeFunction(PL_SQUARE.breakpoints)
-    assert f.xs is f.xs
-    assert f.xs == tuple(x for x, _ in PL_SQUARE.breakpoints)
-    assert f == PL_SQUARE and hash(f) == hash(PL_SQUARE)
-    assert f != PL_SQRT

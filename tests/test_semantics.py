@@ -8,7 +8,7 @@ from typing import Iterator
 import pytest
 
 from fln.deduction import provability_lower_bound
-from fln.hedges import HedgeFunction, HedgeModel, IDENTITY, PL_SQRT, PL_SQUARE, blend, eval_hedge, validate_axioms
+from fln.hedges import HedgeFunction, HedgeKernel, HedgeModel, IDENTITY, PL_SQRT, PL_SQUARE, blend, validate_axioms
 from fln.mv import MVChain, ONE, ZERO, biresiduum, chain_values, join, luk_and, luk_imp, luk_neg, luk_or, meet
 from fln.mv import multiple as mv_multiple, power as mv_power
 from fln.parser import format_structure, parse_formula, parse_theory
@@ -58,7 +58,7 @@ from fln.syntax import (
     free_vars,
 )
 from fln.theory import Theory
-from genformulas import SIG_DH, SIG_H, VARS, random_formula, random_term
+from genformulas import SIG_DH, SIG_H, VARS, random_formula, random_term, reference_eval_hedge
 
 F = Fraction
 
@@ -429,7 +429,7 @@ def reference_eval_formula(structure: Structure, formula: Formula, env: Valuatio
                     fn = structure.hedges.function_for(h)
                 except KeyError as exc:
                     raise EvalError(str(exc)) from None
-                return eval_hedge(fn, ev(b, e))
+                return reference_eval_hedge(fn, ev(b, e))
             case Neg(b):
                 return luk_neg(ev(b, e))
             case Conj(l, r):
@@ -795,27 +795,31 @@ def test_equivalence_lemma_and_enumeration_agree_with_reference():
         )
 
 
-def counting_eval_hedge(monkeypatch) -> list[int]:
-    """Count the hedge evaluations the compiled formulas make."""
-    import fln.semantics
+def counting_kernel(monkeypatch) -> dict[str, int]:
+    """Count the hedge kernels derived and the values read from them."""
+    counts = {"derived": 0, "lookups": 0}
+    init, at = HedgeKernel.__init__, HedgeKernel.at
 
-    calls = [0]
-    original = fln.semantics.eval_hedge
+    def counted_init(self, f, d):
+        counts["derived"] += 1
+        init(self, f, d)
 
-    def counted(f, a):
-        calls[0] += 1
-        return original(f, a)
+    def counted_at(self, i):
+        counts["lookups"] += 1
+        return at(self, i)
 
-    monkeypatch.setattr(fln.semantics, "eval_hedge", counted)
-    return calls
+    monkeypatch.setattr(HedgeKernel, "__init__", counted_init)
+    monkeypatch.setattr(HedgeKernel, "at", counted_at)
+    return counts
 
 
 def test_deep_hedge_nesting_costs_one_evaluation_per_level(monkeypatch):
     # Each pl-square level multiplies the denominator by up to 16, so 300
     # levels over the chain of 60 need a denominator near 60·16^300.  A
     # compiler that tabulated a hedge over its input denominator could never
-    # finish; this one evaluates each level once per distinct input.
-    calls = counting_eval_hedge(monkeypatch)
+    # finish; this one derives one kernel per level, whose cost does not
+    # grow with the denominator, and reads one value per level.
+    counts = counting_kernel(monkeypatch)
     sig = HedgeSignature(HedgeMode.H, ("s1",), ())
     model = HedgeModel(sig, {"s1": PL_SQUARE})
     f = Pred("P")
@@ -823,28 +827,42 @@ def test_deep_hedge_nesting_costs_one_evaluation_per_level(monkeypatch):
         f = HedgeApp("s1", f)
     for i in (0, 1, 17, 30, 59, 60):
         s = Structure(("d1",), {"P": {(): F(i, 60)}}, hedges=model)
-        calls[0] = 0
+        counts.update(derived=0, lookups=0)
         value = eval_formula(s, f)
-        assert calls[0] <= 300
+        assert counts["derived"] <= 300
+        assert counts["lookups"] <= 300
         assert value == reference_eval_formula(s, f)
     assert value == ONE
 
 
+def test_hedge_argument_outside_the_unit_interval_raises_as_the_oracle():
+    sig = HedgeSignature(HedgeMode.H, ("s1",), ())
+    s = Structure(("d1",), {"P": {(): F(-1, 2)}}, hedges=HedgeModel(sig, {"s1": PL_SQUARE}))
+    for formula, arg in (
+        (HedgeApp("s1", TruthConst(F(3, 2))), "3/2"),
+        (HedgeApp("s1", Pred("P")), "-1/2"),
+        (HedgeApp("s1", HedgeApp("s1", Pred("P"))), "-1/2"),
+    ):
+        for evaluate in (eval_formula, reference_eval_formula):
+            with pytest.raises(ValueError, match=rf"^hedge argument {arg} outside \[0, 1\]$"):
+                evaluate(s, formula)
+
+
 def test_quantifiers_stop_once_the_value_is_decided(monkeypatch):
-    calls = counting_eval_hedge(monkeypatch)
+    counts = counting_kernel(monkeypatch)
     sig = HedgeSignature(HedgeMode.H, ("s1",), ())
     hedges = HedgeModel(sig, {"s1": IDENTITY})
     body = HedgeApp("s1", Pred("R", (Var("x"),)))
     s = Structure(("d1", "d2", "d3"), {"R": {("d1",): F(1, 2), ("d2",): ZERO, ("d3",): F(1, 5)}}, hedges=hedges)
     assert eval_formula(s, Forall("x", body)) == ZERO
-    assert calls[0] == 2
-    calls[0] = 0
+    assert counts["lookups"] == 2
+    counts["lookups"] = 0
     assert eval_formula(s, Exists("x", body)) == F(1, 2)
-    assert calls[0] == 3
+    assert counts["lookups"] == 3
     t = Structure(("d1", "d2", "d3"), {"R": {("d1",): F(1, 2), ("d2",): ONE, ("d3",): F(1, 5)}}, hedges=hedges)
-    calls[0] = 0
+    counts["lookups"] = 0
     assert eval_formula(t, Exists("x", body)) == ONE
-    assert calls[0] == 2
+    assert counts["lookups"] == 2
     # A missing entry behind the deciding element still raises.
     u = Structure(("d1", "d2"), {"R": {("d1",): ZERO}}, hedges=hedges)
     with pytest.raises(EvalError, match=r"predicate table R has no entry for \('d2',\)"):
