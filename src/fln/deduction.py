@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .mv import ONE, ZERO, as_truth, luk_and, luk_imp
 from .syntax import (
+    CORE,
     FALSUM,
     NODE_FIELDS,
     VERUM,
@@ -151,14 +153,44 @@ _HEDGE_SCHEMA_NAMES = {
 _BASE_NAMES = tuple(name for name, _, _ in _BASE_TEMPLATES + (_CONST_TEMPLATE,))
 
 
-@lru_cache(maxsize=32)
-def schema_table(sig: HedgeSignature) -> tuple[tuple[str, Formula, object], ...]:
+_Entry = tuple[str, Formula, object]
+
+
+class _Schemas(NamedTuple):
+    table: tuple[_Entry, ...]
+    buckets: dict[tuple[type, ...], tuple[_Entry, ...]]
+    names: frozenset[str]
+
+
+def _shape(f: Formula) -> tuple[type, ...]:
+    """The head shape matching dispatches on: the class of ``f`` and, for an
+    implication, the classes of its two sides.  In a template a
+    placeholder's class is :class:`Meta`, which fits any class."""
+    if f.__class__ is Imp:
+        return Imp, f.left.__class__, f.right.__class__
+    return (f.__class__,)
+
+
+def _fits(pattern: tuple[type, ...], shape: tuple[type, ...]) -> bool:
+    return all(p is Meta or p is c for p, c in zip(pattern, shape))
+
+
+def schema_table(sig: HedgeSignature) -> tuple[_Entry, ...]:
     """(name, template, side condition or None) for ``sig``, in matching order.
 
     Hedge schemas get one template per declared index, with s_0 A = A and
     d_0 A = A: s_i A -> s_{i-1} A, s_top #1, d_{i-1} A -> d_i A, then
     ~(d_top #0) in mode H or d_i A -> ~(s_i ~A) in mode DH.
     """
+    return _schemas(sig).table
+
+
+@lru_cache(maxsize=32)
+def _schemas(sig: HedgeSignature) -> _Schemas:
+    """The schema table of ``sig``, its valid schema names, and for every
+    shape of an expanded formula the templates that can fit it, in table
+    order, so that matching a bucket finds the same first match as
+    matching the whole table."""
     mono, s_chain, s_top, d_chain, last = _HEDGE_SCHEMA_NAMES[sig.mode]
     s, d, h = sig.stressers, sig.depressers, Meta("h")
     s_at = (_A,) + tuple(HedgeApp(name, _A) for name in s)  # s_at[i] is s_i A
@@ -172,10 +204,13 @@ def schema_table(sig: HedgeSignature) -> tuple[tuple[str, Formula, object], ...]
     else:
         for dn, sn in zip(d, s):
             out.append((last, Imp(HedgeApp(dn, _A), expanded_not(HedgeApp(sn, expanded_not(_A)))), None))
-    return _BASE_TEMPLATES + tuple(out) + (_CONST_TEMPLATE,)
+    table = _BASE_TEMPLATES + tuple(out) + (_CONST_TEMPLATE,)
+    shapes = [(c,) for c in CORE if c is not Imp] + [(Imp, l, r) for l in CORE for r in CORE]
+    buckets = {k: tuple(e for e in table if _fits(_shape(e[1]), k)) for k in shapes}
+    return _Schemas(table, buckets, frozenset(_BASE_NAMES + _HEDGE_SCHEMA_NAMES[sig.mode]))
 
 
-def _first_match(f: Formula, entries: Iterable[tuple]) -> LogicalAxiomMatch | None:
+def _first_match(f: Formula, entries: Iterable[_Entry]) -> LogicalAxiomMatch | None:
     for name, template, cond in entries:
         b: dict[str, object] = {}
         if _unify(template, f, b) and (cond is None or cond(b)):
@@ -185,9 +220,10 @@ def _first_match(f: Formula, entries: Iterable[tuple]) -> LogicalAxiomMatch | No
 
 def match_schema(schema: str, f: Formula, sig: HedgeSignature) -> LogicalAxiomMatch | None:
     f = expand(f)
-    if schema not in _BASE_NAMES + _HEDGE_SCHEMA_NAMES[sig.mode]:
+    schemas = _schemas(sig)
+    if schema not in schemas.names:
         raise ValueError(f"unknown axiom schema '{schema}'")
-    return _first_match(f, (e for e in schema_table(sig) if e[0] == schema))
+    return _first_match(f, (e for e in schemas.buckets[_shape(f)] if e[0] == schema))
 
 
 def lax_grade(f: Formula, sig: HedgeSignature) -> tuple[Fraction, LogicalAxiomMatch | None]:
@@ -196,7 +232,8 @@ def lax_grade(f: Formula, sig: HedgeSignature) -> tuple[Fraction, LogicalAxiomMa
     Grade 1 with a match for instances of the enabled schemas, grade a for
     the truth constant #a, grade 0 otherwise.
     """
-    m = _first_match(expand(f), schema_table(sig))
+    f = expand(f)
+    m = _first_match(f, _schemas(sig).buckets[_shape(f)])
     if m is None:
         return ZERO, None
     return (m.bindings["a"] if m.schema == "CONST" else ONE), m
@@ -577,19 +614,16 @@ def detect_contradiction(
     """
     seed = list(theory.special_axioms)
     base = subformula_universe(seed, set(theory.grade_constants()), depth)
-    univ = list(base)
-    seen = set(univ)
-    for f in base:
-        nf = expanded_not(f)
-        if nf not in seen:
-            seen.add(nf)
-            univ.append(nf)
-    if FALSUM not in seen:
-        univ.append(FALSUM)
+    # Every universe formula paired with its negation, in universe order.
+    neg = {f: expanded_not(f) for f in base}
+    for g in [nf for nf in neg.values() if nf not in neg] + [FALSUM]:
+        if g not in neg:
+            neg[g] = expanded_not(g)
+    univ = list(neg)
     res = saturate(theory, univ, budget)
 
     def degree(f: Formula) -> Fraction:
-        neg_grade = res.grades.get(expanded_not(f))
+        neg_grade = res.grades.get(neg[f])
         return ZERO if neg_grade is None else luk_and(res.grades[f], neg_grade)
 
     # Distinct formulas print differently, so the minimum by the text key
@@ -601,8 +635,7 @@ def detect_contradiction(
         if not rest:
             return ConsistencyResult(None, res.fixpoint)
         f = min(rest, key=lambda f: (isinstance(f, TruthConst), format_formula(f)))
-    nf = expanded_not(f)
     witness = ContradictionWitness(
-        f, degree(f), extract_proof(res.provenance[f]), extract_proof(res.provenance[nf])
+        f, degree(f), extract_proof(res.provenance[f]), extract_proof(res.provenance[neg[f]])
     )
     return ConsistencyResult(witness, res.fixpoint)

@@ -65,7 +65,8 @@ class HedgeSignature:
 
 # ---------------------------------------------------------------------------
 # Nodes.  Every term and formula kind is a frozen slotted dataclass under
-# one base class whose only slot caches the structural hash.
+# one base class whose two slots cache the structural hash and the
+# expansion.
 
 
 class Node:
@@ -75,9 +76,15 @@ class Node:
     fields, but it is computed on the first ``hash`` call and kept in the
     slot ``_h``, so hashing a deep formula again costs nothing.  It is not
     filled at construction, so building a node never hashes its fields.
+
+    The slot ``_e`` is filled by :func:`expand` in the same lazy way: it
+    holds the node's expansion, or ``None`` for a node that is already
+    core (never the node itself, so no node refers to itself).  Neither
+    slot is a dataclass field, so ``==``, ``repr``, ``fields`` and
+    ``replace`` do not see them.
     """
 
-    __slots__ = ("_h",)
+    __slots__ = ("_h", "_e")
 
     def __hash__(self) -> int:
         try:
@@ -263,7 +270,7 @@ NODE_FIELDS: dict[type, tuple[str, ...]] = {
 _SUBFORMULA_FIELDS = {
     cls: tuple(n for n in NODE_FIELDS[cls] if n in ("left", "right", "body")) for cls in get_args(Formula)
 }
-_CORE = (TruthConst, Pred, Imp, Forall, HedgeApp)
+CORE = (TruthConst, Pred, Imp, Forall, HedgeApp)
 
 
 def _getter(names: tuple[str, ...]):
@@ -429,22 +436,31 @@ def expand(f: Formula) -> Formula:
 
     Idempotent; preserves free variables; evaluation of the result agrees
     with direct evaluation of the sugar.  A formula that is already core
-    comes back as the same object.
+    comes back as the same object.  The result is kept on every node
+    visited and on the result itself, so expanding any of them again is
+    one slot read.
     """
-    old = children(f)
-    if not old:
-        return f
+    try:
+        e = f._e
+    except AttributeError:
+        pass
+    else:
+        return f if e is None else e
     kids = []
-    for g in old:
+    for g in children(f):
         kids.append(expand(g))
     sugar = _SUGAR.get(f.__class__)
-    if sugar is None:
-        return rebuild(f, kids)
-    return sugar(f, *kids)
+    e = rebuild(f, kids) if sugar is None else sugar(f, *kids)
+    if e is f:
+        object.__setattr__(f, "_e", None)
+    else:
+        object.__setattr__(f, "_e", e)
+        object.__setattr__(e, "_e", None)
+    return e
 
 
 def is_expanded(f: Formula) -> bool:
-    if not isinstance(f, _CORE):
+    if not isinstance(f, CORE):
         return False
     for g in children(f):
         if not is_expanded(g):
@@ -528,7 +544,7 @@ def subformulas(f: Formula) -> list[Formula]:
             return
         seen.add(g)
         out.append(g)
-        if not isinstance(g, _CORE):
+        if not isinstance(g, CORE):
             raise ValueError("subformulas expects an expanded formula")
         for h in children(g):
             go(h)

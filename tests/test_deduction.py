@@ -36,7 +36,9 @@ from fln.deduction import (
     match_schema,
     provability_lower_bound,
     saturate,
+    schema_table,
 )
+from fln.deduction import _first_match, _schemas, _shape
 from fln.mv import MVChain, ONE, ZERO, chain_values, luk_and, luk_imp
 from fln.parser import format_proof, parse_formula, parse_theory
 from fln.syntax import (
@@ -852,13 +854,16 @@ def _match_outcome(matcher, name, f, sig):
     return None if m is None else m.schema
 
 
-@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=ORACLE_SIG_IDS)
-def test_schema_templates_agree_with_reference_matchers(sig):
+def schema_test_formulas(sig: HedgeSignature) -> list[Formula]:
     rng = random.Random(repr(sig))
     formulas = [f for _ in range(60) for f in schema_shaped(rng, sig)]
-    formulas += [expand(random_formula(rng, sig, 3)) for _ in range(200)]
+    return formulas + [expand(random_formula(rng, sig, 3)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=ORACLE_SIG_IDS)
+def test_schema_templates_agree_with_reference_matchers(sig):
     matched = set()
-    for f in formulas:
+    for f in schema_test_formulas(sig):
         grade, m = lax_grade(f, sig)
         ref_grade, ref = reference_lax_grade(f, sig)
         assert (grade, m and m.schema) == (ref_grade, ref and ref.schema), f
@@ -875,6 +880,17 @@ def test_schema_templates_agree_with_reference_matchers(sig):
     expected |= {s_chain, s_top} if sig.stressers else set()
     expected |= {d_chain, last} if sig.depressers else set()
     assert matched == expected
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=ORACLE_SIG_IDS)
+def test_shape_buckets_match_like_the_whole_table(sig):
+    buckets = _schemas(sig).buckets
+    for f in schema_test_formulas(sig):
+        got = _first_match(f, buckets[_shape(f)])
+        want = _first_match(f, schema_table(sig))
+        assert (got and (got.schema, got.bindings)) == (want and (want.schema, want.bindings)), f
+    for f in (Pred("P"), HedgeApp("s1", Pred("P")), HedgeApp("d1", FALSUM)):
+        assert not any(isinstance(template, Imp) for _, template, _ in buckets[_shape(f)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
@@ -235,6 +236,9 @@ def test_node_hash_is_structural_and_survives_replace():
             text = format_formula(f)
             a, b = parse_formula(text, sig), parse_formula(text, sig)
             assert a is not b and a == b and hash(a) == hash(b) == hash(f)
+            expand(a)  # fills the expansion slots of a, not of b
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+            assert not hasattr(a, "__dict__") and not hasattr(b, "__dict__")
             donors = {}
             for node in _nodes(g):
                 donors.setdefault(node.__class__, node)
@@ -249,6 +253,24 @@ def test_node_hash_is_structural_and_survives_replace():
                 fresh = cls(*(getattr(donor if n == name else node, n) for n in names))
                 assert changed == fresh and hash(changed) == hash(fresh)
                 assert replace(node) == node and hash(replace(node)) == hash(node)
+
+
+def test_expanding_again_walks_nothing(monkeypatch):
+    import fln.syntax
+
+    calls = []
+    real = fln.syntax.children
+    monkeypatch.setattr(fln.syntax, "children", lambda f: calls.append(f) or real(f))
+    text = " & ".join(f"(s1 P{i} -> Q{i})" if i % 2 else f"P{i}" for i in range(55))
+    f = parse_formula(text, SIG_H)
+    e = expand(f)
+    assert 250 <= len(subformulas(e)) <= 350 and calls
+    calls.clear()
+    assert expand(f) is e and expand(e) is e
+    assert calls == []
+    # the slots make no node refer to itself, so expanding creates no cycles
+    for node in _nodes(f) + _nodes(e):
+        assert all(r is not node for r in gc.get_referents(node))
 
 
 def test_expand_of_a_core_formula_is_the_same_object():
@@ -598,6 +620,9 @@ def test_traversals_agree_with_reference(sig, depth):
         f = random_formula(rng, sig, depth)
         e = expand(f)
         assert e == reference_expand(f)
+        again = expand(f)  # answered from the slots the first call filled
+        assert again is e and again == reference_expand(f)
+        assert expand(parse_formula(format_formula(f), sig)) == e
         for g in (f, e):
             assert is_expanded(g) == reference_is_expanded(g)
             assert free_vars(g) == reference_free_vars(g)
