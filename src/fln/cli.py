@@ -24,7 +24,7 @@ from .deduction import (
     detect_contradiction,
     provability_lower_bound,
 )
-from .hedges import HedgeModel, boundaries, validate_axioms, validate_shape
+from .hedges import HedgeModel, HedgeTables, validate_shape
 from .mv import MVChain
 from .parser import (
     format_proof,
@@ -42,7 +42,7 @@ from .semantics import (
     sem_degree,
     tautology_degree,
 )
-from .syntax import HedgeSignature, expand, format_formula, free_vars
+from .syntax import HedgeMode, HedgeSignature, expand, format_formula, free_vars
 from .theory import Theory
 
 EXIT_OK = 0
@@ -195,7 +195,6 @@ def cmd_validate_hedges(args, out) -> int:
         raise CliInputError("--hedges is required for this command")
     model = parse_hedge_model(_read(args.hedges))
     sig = model.signature
-    chain = MVChain(args.chain)
     tsv = args.format == "tsv"
     violations = 0
     for name, kind in [(s, "stresser") for s in sig.stressers] + [(d, "depresser") for d in sig.depressers]:
@@ -204,17 +203,19 @@ def cmd_validate_hedges(args, out) -> int:
         if not tsv:
             print(f"SHAPE {name} {rep.verdict}", file=out)
             _print_report(rep, out)
-    axioms = validate_axioms(model, chain)
-    violations += len(axioms.violations)
-    if not tsv:
-        print(f"AXIOMS {axioms.verdict}", file=out)
-        _print_report(axioms, out)
-    if sig.mode.value == "dh":
-        _, envelope = boundaries(model, chain)
-        violations += len(envelope.violations)
-        if not tsv:
-            print(f"ENVELOPES {envelope.verdict}", file=out)
-            _print_report(envelope, out)
+    # The axiom and envelope checks yield integer records: TSV only counts
+    # them, and each human section is written whole once its check has run.
+    tables = HedgeTables(model, MVChain(args.chain))
+    sections = [("AXIOMS", tables.axiom_records())]
+    if sig.mode is HedgeMode.DH:
+        sections.append(("ENVELOPES", tables.envelope_records(tables.envelopes())))
+    for title, records in sections:
+        if tsv:
+            violations += sum(1 for _ in records)
+            continue
+        lines = tables.lines(records)
+        violations += len(lines)
+        out.write(f"{title} {'fail' if lines else 'pass'}\n" + "".join(lines))
     verdict = "pass" if violations == 0 else "fail"
     if tsv:
         print(f"validate-hedges\t{verdict}\t{violations}", file=out)
@@ -226,17 +227,27 @@ def cmd_validate_hedges(args, out) -> int:
 def cmd_boundaries(args, out) -> int:
     if not args.hedges:
         raise CliInputError("--hedges is required for this command")
-    model = parse_hedge_model(_read(args.hedges))
-    tables, report = boundaries(model, MVChain(args.chain))
-    for name, rows in tables.items():
-        for row in rows:
-            if args.format == "tsv":
-                print(f"boundaries\t{name}\t{row.x}\t{row.lower}\t{row.upper}", file=out)
-            else:
-                print(f"BOUNDARY {name} {row.x} [{row.lower}, {row.upper}]", file=out)
-    if args.format != "tsv":
-        _print_report(report, out)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    tables = HedgeTables(parse_hedge_model(_read(args.hedges)), MVChain(args.chain))
+    envelopes = tables.envelopes()
+    x, v = tables.point_texts, tables.value_texts
+    if args.format == "tsv":
+        row = "boundaries\t{}\t{}\t{}\t{}\n".format
+    else:
+        row = "BOUNDARY {} {} [{}, {}]\n".format
+    text = [
+        row(name, x[i], v[lo], v[hi])
+        for name, lower, upper in envelopes
+        for i, (lo, hi) in enumerate(zip(lower, upper))
+    ]
+    records = tables.envelope_records(envelopes)
+    if args.format == "tsv":
+        failed = next(records, None) is not None
+    else:
+        lines = tables.lines(records)
+        failed = bool(lines)
+        text += lines
+    out.write("".join(text))
+    return EXIT_VIOLATION if failed else EXIT_OK
 
 
 def cmd_consistency(args, out) -> int:

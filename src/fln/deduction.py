@@ -16,7 +16,7 @@ bound is exact for the universe-restricted calculus.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -413,6 +413,10 @@ class SaturationResult:
     provenance: dict[Formula, ProvNode]
     fixpoint: bool
     rounds: int
+    # The grades as saturation held them: integer numerators over one
+    # denominator, grades[f] == numerators[f] / denominator.
+    numerators: dict[Formula, int] = field(default_factory=dict)
+    denominator: int = 1
 
 
 def saturate(theory: Theory, universe, budget: int = DEFAULT_BUDGET) -> SaturationResult:
@@ -523,7 +527,7 @@ def saturate(theory: Theory, universe, budget: int = DEFAULT_BUDGET) -> Saturati
             fixpoint = True
             break
     final = {f: p.grade for f, p in zip(univ, prov)}
-    return SaturationResult(final, dict(zip(univ, prov)), fixpoint, rounds)
+    return SaturationResult(final, dict(zip(univ, prov)), fixpoint, rounds, dict(zip(univ, grades)), den)
 
 
 def extract_proof(node: ProvNode) -> Proof:
@@ -621,21 +625,24 @@ def detect_contradiction(
             neg[g] = expanded_not(g)
     univ = list(neg)
     res = saturate(theory, univ, budget)
+    nums, den = res.numerators, res.denominator
 
-    def degree(f: Formula) -> Fraction:
-        neg_grade = res.grades.get(neg[f])
-        return ZERO if neg_grade is None else luk_and(res.grades[f], neg_grade)
+    def positive(f: Formula) -> bool:
+        """bound(f) ⊗ bound(¬f) > 0, that is a + b > D on the numerators."""
+        b = nums.get(neg[f])
+        return b is not None and nums[f] + b > den
 
     # Distinct formulas print differently, so the minimum by the text key
     # is the first witness of the sorted scan, and only positive formulas
     # need printing.
-    f = next((f for f in theory.special_axioms if degree(f) > ZERO), None)
+    f = next((f for f in theory.special_axioms if positive(f)), None)
     if f is None:
-        rest = [f for f in univ if f not in theory.special_axioms and degree(f) > ZERO]
+        rest = [f for f in univ if f not in theory.special_axioms and positive(f)]
         if not rest:
             return ConsistencyResult(None, res.fixpoint)
         f = min(rest, key=lambda f: (isinstance(f, TruthConst), format_formula(f)))
+    nf = neg[f]
     witness = ContradictionWitness(
-        f, degree(f), extract_proof(res.provenance[f]), extract_proof(res.provenance[neg[f]])
+        f, luk_and(res.grades[f], res.grades[nf]), extract_proof(res.provenance[f]), extract_proof(res.provenance[nf])
     )
     return ConsistencyResult(witness, res.fixpoint)

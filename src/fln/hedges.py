@@ -8,11 +8,14 @@ curve for *slightly*) ship as piecewise-linear presets.
 
 Every hedge value comes from one integer kernel (:class:`HedgeKernel`),
 shared by :func:`eval_hedge`, chain validation and the compiled formulas
-of :mod:`fln.semantics`.  Validation on a chain {0, 1/k, ..., 1} tabulates
-each declared hedge once and compares integers, building a ``Fraction``
-only for a reported violation or envelope row; the pair scan of H6/DH11 is
-skipped when every adjacent step of a table lies in [0, 1/k], which
-already rules out any violation.
+of :mod:`fln.semantics`.  Validation on a chain {0, 1/k, ..., 1}
+(:class:`HedgeTables`) tabulates each declared hedge once, compares
+integers and yields integer records; the pair scan of H6/DH11 goes row by
+row and is skipped when every adjacent step of a table lies in [0, 1/k],
+which already rules out any violation.  The library reports records as
+``Violation`` and ``BoundaryRow`` objects sharing one ``Fraction`` per
+distinct value; the command line prints them from texts made once per
+distinct chain point and value, with no object per line.
 """
 
 from __future__ import annotations
@@ -229,6 +232,14 @@ def fitting_constant(f: HedgeFunction) -> int:
 
 # ---------------------------------------------------------------------------
 # Hedge axiom validation over a finite chain
+#
+# A scan yields integer records (check, hedge, points, num): an instance of
+# ``check`` for ``hedge`` at the chain points x_p for p in ``points``, whose
+# value num/D is below 1 (for an envelope, the hedge's value outside it).
+# :meth:`HedgeTables.violations` turns records into Violations and
+# :meth:`HedgeTables.lines` into the text of their machine lines.
+
+Record = tuple[str, str, tuple[int, ...], int]
 
 
 def _axiom_ids(mode: HedgeMode) -> dict[str, str]:
@@ -237,44 +248,143 @@ def _axiom_ids(mode: HedgeMode) -> dict[str, str]:
     return {"mono": "DH11", "schain": "DH12", "stop": "DH13", "dchain": "DH14", "dual": "DH15"}
 
 
-def _tabulate(model: HedgeModel, chain: MVChain) -> tuple[int, range, dict[str, list[int]]]:
-    """A denominator D = lcm(k, each hedge's den), and the chain points and
-    every declared hedge's values at them, in chain order, as numerators over D."""
-    k = chain.k
-    kernels = {name: HedgeKernel(model.function_for(name), k) for name in model.signature.hedges}
-    denom = math.lcm(k, *(kernel.den for kernel in kernels.values()))
-    tables = {name: [y * (denom // kernel.den) for y in kernel.table()] for name, kernel in kernels.items()}
-    return denom, range(0, denom + 1, denom // k), tables
+class _RatioTexts(dict):
+    """``str(Fraction(n, denom))`` by numerator n, made on the first lookup
+    of each n with one gcd and no ``Fraction``."""
+
+    def __init__(self, denom: int):
+        super().__init__()
+        self.denom = denom
+
+    def __missing__(self, n: int) -> str:
+        g = math.gcd(n, self.denom)
+        text = self[n] = str(n // g) if g == self.denom else f"{n // g}/{self.denom // g}"
+        return text
 
 
-def _dual(table: list[int], denom: int) -> list[int]:
-    """¬s(¬x) at the chain points, from the table of s over ``denom``:
-    ¬x_i = 1 - i/k is the chain point x_{k-i}, so s(¬x_i) is the mirrored entry."""
-    return [denom - y for y in reversed(table)]
+class HedgeTables:
+    """A hedge model on a chain {0, 1/k, ..., 1}, on integers.
+
+    One denominator D = lcm(k, each hedge's den) holds the chain points
+    (``diagonal``, i·D/k) and every declared hedge's values at them, in
+    chain order (``values``).  The scans read only these tables; the texts
+    and Fractions they are reported with are made once per distinct
+    chain point and value.
+    """
+
+    def __init__(self, model: HedgeModel, chain: MVChain):
+        k = chain.k
+        kernels = {name: HedgeKernel(model.function_for(name), k) for name in model.signature.hedges}
+        denom = math.lcm(k, *(kernel.den for kernel in kernels.values()))
+        self.signature, self.chain, self.denom = model.signature, chain, denom
+        self.diagonal = range(0, denom + 1, denom // k)
+        self.values = {name: [y * (denom // kernel.den) for y in kernel.table()] for name, kernel in kernels.items()}
+        self.point_texts, self.value_texts = _RatioTexts(k), _RatioTexts(denom)
+        self._fractions: dict[int, Fraction] = {}
+
+    def fraction(self, num: int) -> Fraction:
+        """num/D, one object per distinct numerator."""
+        value = self._fractions.get(num)
+        if value is None:
+            value = self._fractions[num] = Fraction(num, self.denom)
+        return value
+
+    def _dual(self, name: str) -> list[int]:
+        """¬s(¬x) at the chain points for the hedge s: ¬x_i = 1 - i/k is the
+        chain point x_{k-i}, so s(¬x_i) is the mirrored entry."""
+        return [self.denom - y for y in reversed(self.values[name])]
+
+    def axiom_records(self) -> Iterator[Record]:
+        """Every instance of the active mode's hedge axioms below 1, in
+        report order: monotonicity for each hedge, the stresser chain and
+        top, the depresser chain, then the dual pairs or the depresser
+        bottom.  A row of instances is computed at a time, so a caller that
+        stops at the first record does no more than one row's work."""
+        sig, denom, table = self.signature, self.denom, self.values
+        ids = _axiom_ids(sig.mode)
+
+        def below(check: str, hedge: str, left, right, start: int = 0) -> list[Record]:
+            """Instances l(x_i) ⇒ r(x_i) below 1: where l > r, 1 - (l - r)."""
+            return [(check, hedge, (i,), denom - l + r) for i, (l, r) in enumerate(zip(left, right), start) if l > r]
+
+        for name in sig.hedges:
+            yield from _monotonicity_records(ids["mono"], name, table[name], denom, self.chain.k)
+        for i, name in enumerate(sig.stressers, start=1):
+            prev = self.diagonal if i == 1 else table[sig.stressers[i - 2]]
+            yield from below(ids["schain"], name, table[name], prev)
+        if sig.stressers:
+            top = sig.stressers[-1]
+            yield from below(ids["stop"], top, [denom], table[top][-1:], self.chain.k)  # 1 ⇒ s_n(1)
+        for j, name in enumerate(sig.depressers, start=1):
+            prev = self.diagonal if j == 1 else table[sig.depressers[j - 2]]
+            yield from below(ids["dchain"], name, prev, table[name])
+        if sig.mode is HedgeMode.DH:
+            for i, name in enumerate(sig.depressers, start=1):
+                yield from below(ids["dual"], name, table[name], self._dual(sig.stressers[i - 1]))
+        elif sig.depressers:
+            bottom = sig.depressers[-1]
+            yield from below(ids["dbot"], bottom, table[bottom][:1], [0])  # d_n(0) ⇒ 0, i.e. ¬d_n(0)
+
+    def envelopes(self) -> list[tuple[str, Sequence[int], Sequence[int]]]:
+        """(hedge, lower, upper) for every hedge, stressers first: the
+        envelope :func:`boundaries` describes, at the chain points."""
+        sig = self.signature
+        if sig.mode is not HedgeMode.DH:
+            raise ValueError("boundary envelopes are defined for dual-hedge signatures only")
+        table, n = self.values, len(sig.stressers)
+        out = []
+        for i, name in enumerate(sig.stressers, start=1):
+            out.append((name, [0] * len(self.diagonal) if i == n else table[sig.stressers[i]], self.diagonal))
+        for i, name in enumerate(sig.depressers, start=1):
+            lower = self.diagonal if i == 1 else table[sig.depressers[i - 2]]
+            out.append((name, lower, self._dual(sig.stressers[i - 1])))
+        return out
+
+    def envelope_records(self, envelopes) -> Iterator[Record]:
+        """Each hedge's values outside its envelope, hedge by hedge and
+        point by point, the lower bound's breach before the upper's."""
+        for name, lower, upper in envelopes:
+            for i, (lo, hi, y) in enumerate(zip(lower, upper, self.values[name])):
+                if y < lo:
+                    yield ("envelope-lower", name, (i,), y)
+                if y > hi:
+                    yield ("envelope-upper", name, (i,), y)
+
+    def violations(self, records) -> Iterator[Violation]:
+        """The records as Violations, with the chain's own points as inputs."""
+        points = self.chain.values()
+        for check, hedge, idx, num in records:
+            yield Violation(check, hedge, tuple([points[p] for p in idx]), self.fraction(num))
+
+    def lines(self, records) -> list[str]:
+        """The records as the lines :meth:`Violation.machine_line` gives,
+        each ending in a newline."""
+        pts, vals = self.point_texts, self.value_texts
+        return [
+            f"VIOLATION {check} {hedge} ({pts[idx[0]]}, {pts[idx[1]]}) {vals[num]}\n"
+            if len(idx) == 2
+            else f"VIOLATION {check} {hedge} ({pts[idx[0]]}) {vals[num]}\n"
+            for check, hedge, idx, num in records
+        ]
 
 
-def _monotonicity_violations(
-    check: str, hedge: str, nums: list[int], denom: int, chain: MVChain
-) -> Iterator[Violation]:
+def _monotonicity_records(check: str, hedge: str, nums: list[int], denom: int, k: int) -> Iterator[Record]:
     """Instances of (a ⇒ b) ⇒ (f(a) ⇒ f(b)) below 1, in row-major (a, b) order.
 
-    On the common denominator D of the chain and the table, A_i = i·D/k and
-    F_i = D·f(x_i) are integers.  The instance at (x_i, x_j) equals
-    1 - max(0, F_i - F_j - max(0, A_i - A_j))/D.
+    With A_i = i·D/k and F_i = D·f(x_i) on the common denominator D, the
+    instance at (x_i, x_j) is 1 - max(0, F_i - F_j - max(0, A_i - A_j))/D:
+    1 - max(0, G_i - G_j)/D with G = F - A where j < i, and
+    1 - max(0, F_i - F_j)/D where j >= i.
     """
-    step = denom // chain.k
+    step = denom // k
     # Adjacent steps in [0, D/k] telescope: for i <= j, F_i - F_j <= 0, and
     # for i > j, F_i - F_j <= (i-j)·D/k = A_i - A_j, so no instance is below 1.
     if all(0 <= hi - lo <= step for lo, hi in zip(nums, nums[1:])):
         return
-    rows = list(zip(chain.values(), nums, range(0, denom + 1, step)))
-    for a, fa, aa in rows:
-        for b, fb, ab in rows:
-            gap = fa - fb
-            if aa > ab:
-                gap -= aa - ab
-            if gap > 0:
-                yield Violation(check, hedge, (a, b), Fraction(denom - gap, denom))
+    lifted = [y - a for y, a in zip(nums, range(0, denom + 1, step))]
+    for i, (y, g) in enumerate(zip(nums, lifted)):
+        yield from [(check, hedge, (i, j), denom - g + h) for j, h in enumerate(lifted[:i]) if h < g]
+        yield from [(check, hedge, (i, j), denom - y + z) for j, z in enumerate(nums[i:], i) if z < y]
 
 
 def validate_axioms(model: HedgeModel, chain: MVChain) -> ValidationReport:
@@ -291,34 +401,8 @@ def axiom_violations(model: HedgeModel, chain: MVChain) -> Iterator[Violation]:
     """The violations :func:`validate_axioms` reports, in its order, one at
     a time; a caller that only asks whether the model passes stops at the
     first."""
-    sig = model.signature
-    ids = _axiom_ids(sig.mode)
-    values = chain.values()
-    denom, diagonal, table = _tabulate(model, chain)
-
-    def below(check: str, hedge: str, left, right, points=values) -> Iterator[Violation]:
-        """Instances l(x) ⇒ r(x) below 1: where l > r, 1 - (l - r)."""
-        for x, lx, rx in zip(points, left, right):
-            if lx > rx:
-                yield Violation(check, hedge, (x,), Fraction(denom - lx + rx, denom))
-
-    for name in sig.hedges:
-        yield from _monotonicity_violations(ids["mono"], name, table[name], denom, chain)
-    for i, name in enumerate(sig.stressers, start=1):
-        prev = diagonal if i == 1 else table[sig.stressers[i - 2]]
-        yield from below(ids["schain"], name, table[name], prev)
-    if sig.stressers:
-        top = sig.stressers[-1]
-        yield from below(ids["stop"], top, [denom], table[top][-1:], (ONE,))  # 1 ⇒ s_n(1)
-    for j, name in enumerate(sig.depressers, start=1):
-        prev = diagonal if j == 1 else table[sig.depressers[j - 2]]
-        yield from below(ids["dchain"], name, prev, table[name])
-    if sig.mode is HedgeMode.DH:
-        for i, name in enumerate(sig.depressers, start=1):
-            yield from below(ids["dual"], name, table[name], _dual(table[sig.stressers[i - 1]], denom))
-    elif sig.depressers:
-        bottom = sig.depressers[-1]
-        yield from below(ids["dbot"], bottom, table[bottom][:1], [0], (ZERO,))  # d_n(0) ⇒ 0, i.e. ¬d_n(0)
+    tables = HedgeTables(model, chain)
+    yield from tables.violations(tables.axiom_records())
 
 
 # ---------------------------------------------------------------------------
@@ -341,30 +425,11 @@ def boundaries(model: HedgeModel, chain: MVChain) -> tuple[dict[str, tuple[Bound
     Assigned functions breaching their envelope are reported as violations.
     Requires a dual-hedge signature.
     """
-    sig = model.signature
-    if sig.mode is not HedgeMode.DH:
-        raise ValueError("boundary envelopes are defined for dual-hedge signatures only")
-    values = chain.values()
-    denom, diagonal, table = _tabulate(model, chain)
-    tables: dict[str, tuple[BoundaryRow, ...]] = {}
-    vs: list[Violation] = []
-    n = len(sig.stressers)
-
-    def envelope(name: str, lower: Sequence[int], upper: Sequence[int]) -> None:
-        rows = []
-        for x, lo, hi, y in zip(values, lower, upper, table[name]):
-            rows.append(BoundaryRow(x, Fraction(lo, denom), Fraction(hi, denom)))
-            if y < lo:
-                vs.append(Violation("envelope-lower", name, (x,), Fraction(y, denom)))
-            if y > hi:
-                vs.append(Violation("envelope-upper", name, (x,), Fraction(y, denom)))
-        tables[name] = tuple(rows)
-
-    for i, name in enumerate(sig.stressers, start=1):
-        lower = [0] * len(values) if i == n else table[sig.stressers[i]]
-        envelope(name, lower, diagonal)
-    for i, name in enumerate(sig.depressers, start=1):
-        lower = diagonal if i == 1 else table[sig.depressers[i - 2]]
-        envelope(name, lower, _dual(table[sig.stressers[i - 1]], denom))
-
-    return tables, ValidationReport(tuple(vs))
+    tables = HedgeTables(model, chain)
+    envelopes = tables.envelopes()
+    frac, points = tables.fraction, chain.values()
+    rows = {
+        name: tuple([BoundaryRow(x, frac(lo), frac(hi)) for x, lo, hi in zip(points, lower, upper)])
+        for name, lower, upper in envelopes
+    }
+    return rows, ValidationReport(tuple(tables.violations(tables.envelope_records(envelopes))))

@@ -543,3 +543,123 @@ def test_validate_axioms_tabulates_each_hedge_once(monkeypatch):
     assert derived <= len(sig.hedges)
     assert made == 1
     assert len(report.violations) > 1000
+
+
+# ---------------------------------------------------------------------------
+# The command line prints reports from integer records; the oracle is the
+# text of the library's objects
+
+
+def model_text(model: HedgeModel) -> str:
+    sig = model.signature
+    lines = [f"mode {sig.mode.value}"]
+    if sig.stressers:
+        lines.append("stressers " + " ".join(sig.stressers))
+    if sig.depressers:
+        lines.append("depressers " + " ".join(sig.depressers))
+    for name in sig.hedges:
+        pairs = " ".join(f"({x},{y})" for x, y in model.function_for(name).breakpoints)
+        lines.append(f"{name} = pl {{ {pairs} }}")
+    return "\n".join(lines) + "\n"
+
+
+def expected_validate_hedges(model: HedgeModel, chain: MVChain, tsv: bool) -> tuple[int, str]:
+    sig = model.signature
+    sections = [
+        (f"SHAPE {name}", validate_shape(model.function_for(name), kind, name))
+        for names, kind in ((sig.stressers, "stresser"), (sig.depressers, "depresser"))
+        for name in names
+    ]
+    sections.append(("AXIOMS", validate_axioms(model, chain)))
+    if sig.mode is HedgeMode.DH:
+        sections.append(("ENVELOPES", boundaries(model, chain)[1]))
+    count = sum(len(report.violations) for _, report in sections)
+    verdict = "fail" if count else "pass"
+    if tsv:
+        return int(bool(count)), f"validate-hedges\t{verdict}\t{count}\n"
+    lines = []
+    for title, report in sections:
+        lines.append(f"{title} {report.verdict}")
+        lines += [v.machine_line() for v in report.violations]
+    lines.append(f"RESULT {verdict}")
+    return int(bool(count)), "".join(line + "\n" for line in lines)
+
+
+def expected_boundaries(model: HedgeModel, chain: MVChain, tsv: bool) -> tuple[int, str]:
+    tables, report = boundaries(model, chain)
+    lines = []
+    for name, rows in tables.items():
+        for row in rows:
+            if tsv:
+                lines.append(f"boundaries\t{name}\t{row.x}\t{row.lower}\t{row.upper}")
+            else:
+                lines.append(f"BOUNDARY {name} {row.x} [{row.lower}, {row.upper}]")
+    if not tsv:
+        lines += [v.machine_line() for v in report.violations]
+    return int(not report.passed), "".join(line + "\n" for line in lines)
+
+
+def test_cli_hedge_reports_match_the_library_objects(tmp_path, capsys):
+    import io
+
+    from fln.cli import main
+    from fln.parser import parse_hedge_model
+
+    rng = random.Random(1010)
+    models = [random_model(rng) for _ in range(24)]
+    models.append(HedgeModel(SIG_DH2, {"s1": PL_SQRT, "s2": PL_SQUARE, "d1": PL_SQUARE, "d2": random_lifted_pl(rng)}))
+    assert {m.signature.mode for m in models} == {HedgeMode.H, HedgeMode.DH}
+    commands = (("validate-hedges", expected_validate_hedges), ("boundaries", expected_boundaries))
+    for n, model in enumerate(models):
+        path = tmp_path / f"m{n}.fln"
+        path.write_text(model_text(model))
+        assert parse_hedge_model(path.read_text()) == model
+        for k in (1, 2, 3, 7, 12, 100):
+            chain = MVChain(k)
+            for tsv in (False, True):
+                flags = ["--hedges", str(path), "--chain", str(k)] + (["--format", "tsv"] if tsv else [])
+                for command, expected in commands:
+                    out = io.StringIO()
+                    code = main([command, *flags], out=out)
+                    err = capsys.readouterr().err
+                    if command == "boundaries" and model.signature.mode is HedgeMode.H:
+                        want = (2, "", "error: boundary envelopes are defined for dual-hedge signatures only\n")
+                    else:
+                        want = (*expected(model, chain, tsv), "")
+                    assert (code, out.getvalue(), err) == want, (n, k, command, tsv)
+
+
+def test_cli_validate_hedges_builds_no_violation_per_instance(tmp_path, monkeypatch):
+    # A count guard, not a timing test: the command line prints axiom
+    # instances from integer records, with one text per distinct value and
+    # no Violation or Fraction per reported line.
+    import io
+
+    import fln.hedges
+    from fln.cli import main
+
+    made = {"Violation": 0, "Fraction": 0}
+
+    def counted(name):
+        original = getattr(fln.hedges, name)
+
+        def make(*args):
+            made[name] += 1
+            return original(*args)
+
+        return make
+
+    for name in made:
+        monkeypatch.setattr(fln.hedges, name, counted(name))
+    path = tmp_path / "h.fln"
+    path.write_text("mode h\nstressers s1\ns1 = preset pl-square\n")
+    out = io.StringIO()
+    code = main(["validate-hedges", "--hedges", str(path), "--chain", "100"], out=out)
+    lines = out.getvalue().splitlines()
+    violations = [line for line in lines if line.startswith("VIOLATION H6 s1 ")]
+    assert code == 1 and lines[:2] == ["SHAPE s1 pass", "AXIOMS fail"] and len(violations) > 1000
+    assert made["Violation"] == 0  # the shape passes, so any Violation would be an axiom instance
+    assert made["Fraction"] < len({line.rsplit(" ", 1)[1] for line in violations})
+    # The library reports share one Fraction per distinct value.
+    report = validate_axioms(HedgeModel(HedgeSignature(HedgeMode.H, ("s1",), ()), {"s1": PL_SQUARE}), MVChain(100))
+    assert len({id(v.value) for v in report.violations}) == len({v.value for v in report.violations}) > 50
